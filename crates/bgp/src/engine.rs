@@ -83,6 +83,41 @@ pub enum SnapshotDetail {
     Full,
 }
 
+/// Deterministic work counters of one drain (one [`RoutingOutcome`]):
+/// the same on every machine, so a change to the propagation inner loop
+/// shows up as a counter drop next to its wall-clock drop.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrainWork {
+    /// Best-path selections run (one per processed event).
+    pub decide_calls: usize,
+    /// Selections whose cached best RIB slot was stale, so the AS's
+    /// whole Adj-RIB-In was rescanned.
+    pub decide_rescans: usize,
+    /// Present RIB slots read by those rescans. The cached-slot
+    /// comparison of a non-stale selection is not a scan.
+    pub slots_scanned: usize,
+    /// Offers that passed the sender's export policy and were evaluated
+    /// by the receiving neighbor's import policy.
+    pub export_offers: usize,
+    /// Offers of those the receiver's import policy rejected (loop
+    /// prevention, tier-1 filter, deployed extensions).
+    pub export_policy_drops: usize,
+    /// Hops interned into the path arena for exported paths (each
+    /// interned path pushes `1 + provider prepends` hops).
+    pub arena_pushes: usize,
+}
+
+impl std::ops::AddAssign for DrainWork {
+    fn add_assign(&mut self, o: DrainWork) {
+        self.decide_calls += o.decide_calls;
+        self.decide_rescans += o.decide_rescans;
+        self.slots_scanned += o.slots_scanned;
+        self.export_offers += o.export_offers;
+        self.export_policy_drops += o.export_policy_drops;
+        self.arena_pushes += o.arena_pushes;
+    }
+}
+
 /// Fixpoint routing state for one announcement configuration.
 #[derive(Debug, Clone)]
 pub struct RoutingOutcome {
@@ -116,6 +151,9 @@ pub struct RoutingOutcome {
     /// back are excluded: this counts *net* disturbance, the quantity
     /// delta propagation makes epoch cost proportional to.
     pub routes_disturbed: usize,
+    /// Work counters of the drain that produced this outcome (like
+    /// `events`, a session's transition counts only its own epoch).
+    pub work: DrainWork,
 }
 
 impl RoutingOutcome {
@@ -229,6 +267,12 @@ impl ForwardingWalker {
     }
 }
 
+/// `best_slot` sentinel: the AS's Adj-RIB-In holds no route.
+const SLOT_EMPTY: u32 = u32::MAX;
+/// `best_slot` sentinel: the best RIB slot is unknown (the slot that held
+/// it got worse or was withdrawn); the next selection rescans.
+const SLOT_STALE: u32 = u32::MAX - 1;
+
 /// The propagation engine, bound to one topology and one policy table.
 ///
 /// Building the engine is O(V+E); each [`BgpEngine::propagate`] run is
@@ -237,16 +281,24 @@ impl ForwardingWalker {
 pub struct BgpEngine<'t> {
     topo: &'t Topology,
     policy: PolicyTable,
+    /// CSR offsets into the flat Adj-RIB-In: AS `i`'s per-neighbor slots
+    /// are `rib_offsets[i] .. rib_offsets[i + 1]`, one per entry of `i`'s
+    /// sorted neighbor list, in list order. Length `n + 1`.
+    rib_offsets: Vec<u32>,
+    /// Mirror slots: for `j = neighbors(i)[k]`, slot
+    /// `rev_slot[rib_offsets[i] + k]` is the one in `j`'s range that
+    /// holds routes *from* `i`. Adjacency is symmetric, so the map is an involution. The export
+    /// loop reads it instead of searching `j`'s neighbor list. Both
+    /// arrays depend only on the topology, so every session of this
+    /// engine shares them.
+    rev_slot: Vec<u32>,
 }
 
 impl<'t> BgpEngine<'t> {
     /// Build an engine over `topo` with the given configuration.
     pub fn new(topo: &'t Topology, config: &EngineConfig) -> BgpEngine<'t> {
         let cones = ConeInfo::compute(topo);
-        BgpEngine {
-            topo,
-            policy: PolicyTable::build(topo, &cones, &config.policy),
-        }
+        BgpEngine::with_cones(topo, &cones, config)
     }
 
     /// Build an engine reusing a precomputed [`ConeInfo`].
@@ -255,9 +307,12 @@ impl<'t> BgpEngine<'t> {
         cones: &ConeInfo,
         config: &EngineConfig,
     ) -> BgpEngine<'t> {
+        let (rib_offsets, rev_slot) = rib_layout(topo);
         BgpEngine {
             topo,
             policy: PolicyTable::build(topo, cones, &config.policy),
+            rib_offsets,
+            rev_slot,
         }
     }
 
@@ -299,13 +354,10 @@ impl<'t> BgpEngine<'t> {
         Ok(self.propagate_detailed(&inj, max_events_factor, detail))
     }
 
-    /// Position of neighbor `j` within `i`'s (sorted) neighbor list.
+    /// CSR slot range of AS `i`'s Adj-RIB-In.
     #[inline]
-    fn neighbor_pos(&self, i: AsIndex, j: AsIndex) -> Option<usize> {
-        self.topo
-            .neighbors(i)
-            .binary_search_by_key(&j, |(n, _)| *n)
-            .ok()
+    fn rib_slots(&self, i: AsIndex) -> Range<usize> {
+        self.rib_offsets[i.us()] as usize..self.rib_offsets[i.us() + 1] as usize
     }
 
     /// True when `a` is strictly better than `b` at AS `at` under the full
@@ -335,6 +387,14 @@ impl<'t> BgpEngine<'t> {
     /// AS's CSR slot range of the flat Adj-RIB-In. Candidate order is
     /// direct routes first, then present slots ascending — the same order
     /// the per-AS vectors yielded, so tiebreak outcomes are bit-identical.
+    ///
+    /// This full scan is the definition of the decision. The drain runs
+    /// the equivalent [`BgpEngine::select`] over its cached best slot
+    /// and checks it against this scan on every event in debug builds.
+    /// The two agree because [`BgpEngine::better`] is a strict total
+    /// order over routes from distinct neighbors (and over a direct
+    /// route versus any RIB route), so the winner is the unique maximum
+    /// whatever order the candidates are compared in.
     fn decide(
         &self,
         at: AsIndex,
@@ -358,6 +418,49 @@ impl<'t> BgpEngine<'t> {
                     }
                 }
             };
+        }
+        best
+    }
+
+    /// Slot of the best present route in `slots`, or [`SLOT_EMPTY`]: the
+    /// rescan behind a stale cached best slot. Adds the present slots it
+    /// reads to `scanned`.
+    fn best_rib_slot(
+        &self,
+        at: AsIndex,
+        ribs: &RouteSoa,
+        slots: Range<usize>,
+        scanned: &mut usize,
+    ) -> u32 {
+        let mut best: Option<(usize, Route)> = None;
+        for s in ribs.present_in(slots) {
+            *scanned += 1;
+            let cand = ribs.route_at(s);
+            let wins = match best {
+                None => true,
+                Some((_, cur)) => self.better(at, &cand, &cur),
+            };
+            if wins {
+                best = Some((s, cand));
+            }
+        }
+        best.map_or(SLOT_EMPTY, |(s, _)| s as u32)
+    }
+
+    /// Best-path selection at `at` from the direct injections and the
+    /// best Adj-RIB-In route: the direct routes fold in candidate order
+    /// exactly as in [`BgpEngine::decide`], then the RIB winner replaces
+    /// the result only if strictly better.
+    fn select(&self, at: AsIndex, direct: &[Route], rib_best: Option<Route>) -> Option<Route> {
+        let mut best: Option<Route> = None;
+        for cand in direct.iter().copied().chain(rib_best) {
+            let wins = match best {
+                None => true,
+                Some(cur) => self.better(at, &cand, &cur),
+            };
+            if wins {
+                best = Some(cand);
+            }
         }
         best
     }
@@ -460,11 +563,50 @@ impl<'t> BgpEngine<'t> {
     }
 }
 
+/// CSR offsets of the flat Adj-RIB-In and its mirror-slot array (see
+/// [`BgpEngine::rev_slot`]). O(V+E), once per engine.
+fn rib_layout(topo: &Topology) -> (Vec<u32>, Vec<u32>) {
+    let mut rib_offsets = Vec::with_capacity(topo.num_ases() + 1);
+    let mut total = 0u32;
+    rib_offsets.push(0);
+    for i in topo.indices() {
+        total += topo.degree(i) as u32;
+        rib_offsets.push(total);
+    }
+    assert!(total < SLOT_STALE, "too many RIB slots for u32 slot ids");
+    // Neighbor lists are sorted by index, so visiting `i` in ascending
+    // order meets each `j`'s neighbors in list order: the slot for `i` in
+    // `j`'s range is the next unclaimed one.
+    let mut next: Vec<u32> = rib_offsets[..topo.num_ases()].to_vec();
+    let mut rev_slot = vec![0u32; total as usize];
+    for i in topo.indices() {
+        let base = rib_offsets[i.us()] as usize;
+        for (k, &(j, _)) in topo.neighbors(i).iter().enumerate() {
+            let s = next[j.us()];
+            let pos = (s - rib_offsets[j.us()]) as usize;
+            assert!(
+                topo.neighbors(j).get(pos).map(|&(n, _)| n) == Some(i),
+                "adjacency must be symmetric with sorted neighbor lists"
+            );
+            rev_slot[base + k] = s;
+            next[j.us()] += 1;
+        }
+    }
+    (rib_offsets, rev_slot)
+}
+
 /// Feed one routing outcome's counters into the global metrics registry
 /// (post-hoc reads only: instrumentation can never perturb the outcome).
 fn record_outcome_metrics(outcome: &RoutingOutcome) {
     trackdown_obs::counter!("bgp.events").add(outcome.events as u64);
     trackdown_obs::counter!("bgp.changes").add(outcome.changes.len() as u64);
+    let work = &outcome.work;
+    trackdown_obs::counter!("bgp.decide.calls").add(work.decide_calls as u64);
+    trackdown_obs::counter!("bgp.decide.rescans").add(work.decide_rescans as u64);
+    trackdown_obs::counter!("bgp.decide.slots_scanned").add(work.slots_scanned as u64);
+    trackdown_obs::counter!("bgp.export.offers").add(work.export_offers as u64);
+    trackdown_obs::counter!("bgp.export.policy_drops").add(work.export_policy_drops as u64);
+    trackdown_obs::counter!("bgp.arena.pushes").add(work.arena_pushes as u64);
     trackdown_obs::histogram!("bgp.rounds").observe(outcome.rounds as u64);
     if !outcome.converged {
         trackdown_obs::counter!("bgp.event_cap_hits").inc();
@@ -822,12 +964,15 @@ impl<'e, 't> CampaignSession<'e, 't> {
 /// Structure-of-arrays route table: one parallel column per [`Route`]
 /// attribute plus a u64 presence bitset over slot indices.
 ///
-/// Both the flat CSR Adj-RIB-In (slot = `rib_offsets[as] + neighbor_pos`)
-/// and the per-AS best table (slot = AS index) use this layout, so
-/// [`BgpEngine::decide`] and the drain loop stream contiguous memory
-/// instead of chasing per-AS heap vectors, absent slots are skipped a
-/// word at a time without loading any route bytes, and an epoch clear is
-/// an O(slots/64) zero of the presence words rather than an O(slots)
+/// Both the flat CSR Adj-RIB-In and the per-AS best table (slot = AS
+/// index) use this layout. In the RIB, AS `j`'s slot `rib_offsets[j] + k`
+/// holds the route from `j`'s `k`-th neighbor (sorted neighbor order);
+/// the exporter `i` finds that slot through the engine's mirror array,
+/// `rev_slot[rib_offsets[i] + pos of j in i's list]`. The layout means
+/// selection and the drain loop stream contiguous memory instead of
+/// chasing per-AS heap vectors, absent slots are skipped a word at a
+/// time without loading any route bytes, and an epoch clear is an
+/// O(slots/64) zero of the presence words rather than an O(slots)
 /// `Option` fill.
 struct RouteSoa {
     path_id: Vec<PathId>,
@@ -978,13 +1123,14 @@ struct Simulation<'e, 't> {
     /// converge to a high-water set instead of growing without bound.
     arena: PathArena,
     direct: Vec<Vec<Route>>,
-    /// CSR offsets into the flat Adj-RIB-In: AS `i`'s per-neighbor slots
-    /// are `rib_offsets[i] .. rib_offsets[i + 1]`, in the same sorted
-    /// order [`BgpEngine::neighbor_pos`] indexes. Length `n + 1`,
-    /// precomputed once from the (immutable) topology degrees.
-    rib_offsets: Vec<u32>,
-    /// Flat structure-of-arrays Adj-RIB-In over CSR slots.
+    /// Flat structure-of-arrays Adj-RIB-In over the engine's CSR slots.
     ribs: RouteSoa,
+    /// Cached best Adj-RIB-In slot per AS: the slot of the best present
+    /// route in its range, [`SLOT_EMPTY`] when none is present, or
+    /// [`SLOT_STALE`] when unknown. Every slot write keeps it exact or
+    /// marks it stale ([`Simulation::track_best_slot`]), so a selection
+    /// reads one slot unless the slot that held the best got worse.
+    best_slot: Vec<u32>,
     /// Best routes as SoA columns over AS index.
     best: RouteSoa,
     queue: VecDeque<AsIndex>,
@@ -1023,25 +1169,19 @@ struct Simulation<'e, 't> {
     /// with the route it held when the epoch began. Net disturbance is
     /// the subset whose final best differs from that pre-epoch route.
     pre_epoch: Vec<(AsIndex, Option<Route>)>,
+    /// Work counters of the current epoch's drain.
+    work: DrainWork,
 }
 
 impl<'e, 't> Simulation<'e, 't> {
     fn new(engine: &'e BgpEngine<'t>) -> Simulation<'e, 't> {
-        let topo = engine.topo;
-        let n = topo.num_ases();
-        let mut rib_offsets = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        rib_offsets.push(0);
-        for i in topo.indices() {
-            total += topo.degree(i) as u32;
-            rib_offsets.push(total);
-        }
+        let n = engine.topo.num_ases();
         Simulation {
             engine,
             arena: PathArena::new(),
             direct: vec![Vec::new(); n],
-            rib_offsets,
-            ribs: RouteSoa::new(total as usize),
+            ribs: RouteSoa::new(engine.rev_slot.len()),
+            best_slot: vec![SLOT_EMPTY; n],
             best: RouteSoa::new(n),
             queue: VecDeque::new(),
             in_queue: vec![false; n],
@@ -1059,6 +1199,7 @@ impl<'e, 't> Simulation<'e, 't> {
             touched: vec![0; n],
             epoch_stamp: 1,
             pre_epoch: Vec::new(),
+            work: DrainWork::default(),
         }
     }
 
@@ -1073,6 +1214,7 @@ impl<'e, 't> Simulation<'e, 't> {
             d.clear();
         }
         self.ribs.clear();
+        self.best_slot.fill(SLOT_EMPTY);
         self.best.clear();
         self.queue.clear();
         self.in_queue.fill(false);
@@ -1087,14 +1229,9 @@ impl<'e, 't> Simulation<'e, 't> {
         self.max_depth = 0;
         self.changes.clear();
         self.events = 0;
+        self.work = DrainWork::default();
         self.converged = true;
         self.bump_epoch_stamp();
-    }
-
-    /// CSR slot range of AS `i`'s Adj-RIB-In.
-    #[inline]
-    fn rib_slots(&self, i: AsIndex) -> Range<usize> {
-        self.rib_offsets[i.us()] as usize..self.rib_offsets[i.us() + 1] as usize
     }
 
     /// Open a fresh disturbance-tracking window: the next first change of
@@ -1191,6 +1328,7 @@ impl<'e, 't> Simulation<'e, 't> {
         self.max_depth = 0;
         self.changes.clear();
         self.events = 0;
+        self.work = DrainWork::default();
         self.bump_epoch_stamp();
     }
 
@@ -1232,6 +1370,73 @@ impl<'e, 't> Simulation<'e, 't> {
         changed.len()
     }
 
+    /// Best-path selection at `i` for one event: direct routes against
+    /// the cached best RIB slot, rescanning the AS's range only when the
+    /// cache is stale. Debug builds check the result against the full
+    /// [`BgpEngine::decide`] scan.
+    fn select_at(&mut self, i: AsIndex) -> Option<Route> {
+        let engine = self.engine;
+        self.work.decide_calls += 1;
+        if self.best_slot[i.us()] == SLOT_STALE {
+            self.work.decide_rescans += 1;
+            self.best_slot[i.us()] = engine.best_rib_slot(
+                i,
+                &self.ribs,
+                engine.rib_slots(i),
+                &mut self.work.slots_scanned,
+            );
+        }
+        let rib_best = match self.best_slot[i.us()] {
+            SLOT_EMPTY => None,
+            s => Some(self.ribs.route_at(s as usize)),
+        };
+        let best = engine.select(i, &self.direct[i.us()], rib_best);
+        debug_assert_eq!(
+            best,
+            engine.decide(i, &self.direct[i.us()], &self.ribs, engine.rib_slots(i)),
+            "cached-slot selection diverged from the full scan at {i:?}"
+        );
+        best
+    }
+
+    /// Keep `best_slot[j]` exact across a write of `offer` into `j`'s RIB
+    /// slot `slot`. Call it before the write: it compares against the
+    /// slot's old route.
+    ///
+    /// - A strictly better offer becomes the new best.
+    /// - Worsening or withdrawing the best slot marks the cache stale, and
+    ///   the next selection at `j` rescans.
+    /// - Any other write keeps it: rewriting the best slot with a route
+    ///   no worse, or withdrawing or writing a route no better than the
+    ///   best into another slot. [`BgpEngine::better`] strictly orders
+    ///   routes from distinct neighbors, so none can change the maximum.
+    fn track_best_slot(&mut self, j: AsIndex, slot: usize, offer: Option<&Route>) {
+        let cached = self.best_slot[j.us()];
+        if cached == SLOT_STALE {
+            return;
+        }
+        let engine = self.engine;
+        self.best_slot[j.us()] = match offer {
+            None if cached as usize == slot => SLOT_STALE,
+            None => cached,
+            Some(_) if cached == SLOT_EMPTY => slot as u32,
+            Some(o) if cached as usize == slot => {
+                if engine.better(j, &self.ribs.route_at(slot), o) {
+                    SLOT_STALE
+                } else {
+                    cached
+                }
+            }
+            Some(o) => {
+                if engine.better(j, o, &self.ribs.route_at(cached as usize)) {
+                    slot as u32
+                } else {
+                    cached
+                }
+            }
+        };
+    }
+
     /// Process the activation queue to quiescence (or the event cap).
     fn run(&mut self, max_events_factor: usize) {
         let engine = self.engine;
@@ -1244,7 +1449,7 @@ impl<'e, 't> Simulation<'e, 't> {
                 self.converged = false;
                 break;
             }
-            let new_best = engine.decide(i, &self.direct[i.us()], &self.ribs, self.rib_slots(i));
+            let new_best = self.select_at(i);
             if self.best.matches(i.us(), &new_best) {
                 continue;
             }
@@ -1262,8 +1467,19 @@ impl<'e, 't> Simulation<'e, 't> {
                 path_len: new_best.map(|r| r.path_len()).unwrap_or(0),
             });
             let own_asn = engine.topo.asn_of(i);
+            // Provider-side prepending community: the provider prepends
+            // its own ASN extra times on export of a direct route.
+            let extra = match new_best {
+                Some(r) if r.from_neighbor.is_none() => r.communities.provider_prepends(),
+                _ => 0,
+            };
+            // The exported path is the same for every neighbor: intern it
+            // at the first accepted offer and reuse the id for the rest
+            // (re-interning would return the same id and push nothing).
+            let mut exported_path: Option<PathId> = None;
+            let mirror = &engine.rev_slot[engine.rib_slots(i)];
             // Export (or withdraw) toward every neighbor.
-            for &(j, j_kind_from_i) in engine.topo.neighbors(i) {
+            for (&(j, j_kind_from_i), &slot) in engine.topo.neighbors(i).iter().zip(mirror) {
                 // `j_kind_from_i`: how j looks from i (is j my customer?).
                 let offer = match new_best {
                     Some(r)
@@ -1280,14 +1496,6 @@ impl<'e, 't> Simulation<'e, 't> {
                                 || r.communities.allows_export_to(j_kind_from_i))
                             && r.from_neighbor != Some(j) =>
                     {
-                        // Provider-side prepending community: the provider
-                        // prepends its own ASN extra times on export of a
-                        // direct route.
-                        let extra = if r.from_neighbor.is_none() {
-                            r.communities.provider_prepends()
-                        } else {
-                            0
-                        };
                         // First-hop action communities are stripped; an
                         // only-to-customers deployer marks (and everyone
                         // propagates) the OTC attribute. EMPTY whenever no
@@ -1299,6 +1507,7 @@ impl<'e, 't> Simulation<'e, 't> {
                         // route dropped here leaves the offer `None`, so
                         // the delta relevance check below can never treat
                         // it as a viable activation.
+                        self.work.export_offers += 1;
                         let accepted = engine.policy.accepts_offer_iter(
                             engine.topo,
                             j,
@@ -1308,7 +1517,15 @@ impl<'e, 't> Simulation<'e, 't> {
                                 .chain(self.arena.iter(r.path_id)),
                         );
                         if accepted {
-                            let path_id = self.arena.push_times(r.path_id, own_asn, 1 + extra);
+                            let path_id = match exported_path {
+                                Some(p) => p,
+                                None => {
+                                    self.work.arena_pushes += 1 + extra;
+                                    let p = self.arena.push_times(r.path_id, own_asn, 1 + extra);
+                                    exported_path = Some(p);
+                                    p
+                                }
+                            };
                             let i_kind_from_j = j_kind_from_i.reverse();
                             Some(Route {
                                 path_id,
@@ -1320,13 +1537,13 @@ impl<'e, 't> Simulation<'e, 't> {
                                 communities: exported_comms,
                             })
                         } else {
+                            self.work.export_policy_drops += 1;
                             None
                         }
                     }
                     _ => None,
                 };
-                let pos = engine.neighbor_pos(j, i).expect("adjacency is symmetric");
-                let slot = self.rib_offsets[j.us()] as usize + pos;
+                let slot = slot as usize;
                 if !self.ribs.matches(slot, &offer) {
                     // Delta epochs terminate at ASes whose best route is
                     // provably unchanged: if the rewritten slot is not the
@@ -1335,7 +1552,7 @@ impl<'e, 't> Simulation<'e, 't> {
                     // move ([`BgpEngine::better`] is a strict total order
                     // across routes from distinct neighbors, so ties are
                     // impossible here). The slot still updates, so a later
-                    // full decide at j sees the new candidate. An unqueued
+                    // selection at j sees the new candidate. An unqueued
                     // AS always has a settled best (updates that bypass the
                     // queue are exactly the ones that cannot change it), so
                     // comparing against `best[j]` is sound.
@@ -1348,6 +1565,7 @@ impl<'e, 't> Simulation<'e, 't> {
                             }
                             None => true,
                         };
+                    self.track_best_slot(j, slot, offer.as_ref());
                     self.ribs.set(slot, offer);
                     if relevant {
                         self.pending_depth[j.us()] =
@@ -1363,7 +1581,7 @@ impl<'e, 't> Simulation<'e, 't> {
     fn capture_candidates(&self) -> Vec<Vec<Route>> {
         (0..self.direct.len())
             .map(|i| {
-                let slots = self.rib_slots(AsIndex(i as u32));
+                let slots = self.engine.rib_slots(AsIndex(i as u32));
                 self.direct[i]
                     .iter()
                     .copied()
@@ -1402,6 +1620,7 @@ impl<'e, 't> Simulation<'e, 't> {
             changes: self.changes,
             converged: self.converged,
             routes_disturbed,
+            work: self.work,
         }
     }
 
@@ -1423,6 +1642,7 @@ impl<'e, 't> Simulation<'e, 't> {
             changes: self.changes.clone(),
             converged: self.converged,
             routes_disturbed: self.routes_disturbed(),
+            work: self.work,
         }
     }
 }
@@ -1523,6 +1743,50 @@ mod tests {
 
     fn all_plain(o: &OriginAs) -> Vec<LinkAnnouncement> {
         o.link_ids().map(LinkAnnouncement::plain).collect()
+    }
+
+    #[test]
+    fn mirror_slots_are_an_involution_pointing_at_the_sender() {
+        use trackdown_topology::gen::{generate, TopologyConfig};
+        for topo in [
+            fig2_topology(),
+            generate(&TopologyConfig::medium(4)).topology,
+        ] {
+            let engine = BgpEngine::new(&topo, &clean_config());
+            assert_eq!(
+                engine.rev_slot.len(),
+                *engine.rib_offsets.last().unwrap() as usize
+            );
+            for i in topo.indices() {
+                let slots = engine.rib_slots(i);
+                for (k, &(j, _)) in topo.neighbors(i).iter().enumerate() {
+                    let s = slots.start + k;
+                    let m = engine.rev_slot[s] as usize;
+                    // The mirror lies in j's range, at the entry for i...
+                    assert!(engine.rib_slots(j).contains(&m));
+                    let pos = m - engine.rib_slots(j).start;
+                    assert_eq!(topo.neighbors(j)[pos].0, i);
+                    // ...and mirrors straight back.
+                    assert_eq!(engine.rev_slot[m] as usize, s);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drain_work_counts_one_intern_per_exporting_event() {
+        let topo = fig2_topology();
+        let engine = BgpEngine::new(&topo, &clean_config());
+        let o = origin_xny();
+        let out = engine.propagate_config(&o, &all_plain(&o), 200).unwrap();
+        let w = out.work;
+        assert_eq!(w.decide_calls, out.events);
+        assert!(w.decide_rescans <= w.decide_calls);
+        assert!(w.export_policy_drops <= w.export_offers);
+        // Without provider prepends every interned path is one hop, and
+        // one change exports one path however many neighbors accept it.
+        assert!(w.arena_pushes > 0 && w.arena_pushes <= out.changes.len());
+        assert!(w.arena_pushes < w.export_offers - w.export_policy_drops);
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub use catchment::{Catchments, ShardCatchments};
 pub use community::{Community, CommunityBits, CommunitySet};
 pub use delta::{diff_injections, PropagationRanks};
 pub use engine::{
-    BgpEngine, CampaignSession, EngineConfig, ForwardingPath, ForwardingWalker, RouteChange,
-    RoutingOutcome, SnapshotDetail,
+    BgpEngine, CampaignSession, DrainWork, EngineConfig, ForwardingPath, ForwardingWalker,
+    RouteChange, RoutingOutcome, SnapshotDetail,
 };
 pub use origin::{Injection, LinkAnnouncement, OriginAs, OriginError, PeeringLink};
 pub use policy::{

@@ -261,17 +261,25 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Bit of [`PolicyTable::flags`]: the AS deviates from Gao-Rexford
+/// import preferences.
+const FLAG_VIOLATOR: u8 = 1;
+/// Bit of [`PolicyTable::flags`]: the AS ignores its own ASN in paths.
+const FLAG_NO_LOOP_PREVENTION: u8 = 1 << 1;
+/// Bit of [`PolicyTable::flags`]: the AS is a tier-1.
+const FLAG_TIER1: u8 = 1 << 2;
+
 /// Materialized per-AS policy state for one topology.
 #[derive(Debug, Clone)]
 pub struct PolicyTable {
-    /// ASes that deviate from Gao-Rexford import preferences.
-    violators: HashSet<AsIndex>,
-    /// ASes that do not run loop prevention on their own ASN.
-    no_loop_prevention: HashSet<AsIndex>,
+    /// Per-AS role bits (`FLAG_*`), indexed by AS: the engine queries
+    /// them on every offer, so they are one byte load instead of a
+    /// hashed set lookup.
+    flags: Vec<u8>,
+    /// Number of ASes with [`FLAG_VIOLATOR`] set.
+    num_violators: usize,
     /// Tier-1 ASes (provider-free core), as ASN set for path scanning.
     tier1_asns: HashSet<Asn>,
-    /// Tier-1 ASes as index set.
-    tier1_idx: HashSet<AsIndex>,
     /// Per-AS tiebreak salt (stands in for IGP cost / router-id diversity).
     salts: Vec<u64>,
     /// Whether tier-1 filtering is active.
@@ -296,18 +304,22 @@ impl PolicyTable {
     /// Build the policy table for a topology.
     pub fn build(topo: &Topology, cones: &ConeInfo, cfg: &PolicyConfig) -> PolicyTable {
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut violators = HashSet::new();
-        let mut no_loop_prevention = HashSet::new();
+        let mut flags = vec![0u8; topo.num_ases()];
+        let mut num_violators = 0;
         for i in topo.indices() {
             if rng.random::<f64>() < cfg.violator_fraction {
-                violators.insert(i);
+                flags[i.us()] |= FLAG_VIOLATOR;
+                num_violators += 1;
             }
             if rng.random::<f64>() < cfg.no_loop_prevention_fraction {
-                no_loop_prevention.insert(i);
+                flags[i.us()] |= FLAG_NO_LOOP_PREVENTION;
             }
         }
-        let tier1_idx: HashSet<AsIndex> = cones.tier1s().collect();
-        let tier1_asns = tier1_idx.iter().map(|&i| topo.asn_of(i)).collect();
+        let mut tier1_asns = HashSet::new();
+        for i in cones.tier1s() {
+            flags[i.us()] |= FLAG_TIER1;
+            tier1_asns.insert(topo.asn_of(i));
+        }
         let salts = topo
             .indices()
             .map(|i| mix64(cfg.seed ^ ((i.0 as u64) << 17) ^ 0xA5A5))
@@ -339,10 +351,9 @@ impl PolicyTable {
         let any_ext = ext_bits.iter().any(|&b| b != 0);
         let origin_asn = cfg.extensions.origin_asn;
         PolicyTable {
-            violators,
-            no_loop_prevention,
+            flags,
+            num_violators,
             tier1_asns,
-            tier1_idx,
             salts,
             tier1_filtering: cfg.tier1_poison_filtering,
             ext_bits,
@@ -354,30 +365,33 @@ impl PolicyTable {
     }
 
     /// True if `i` deviates from Gao-Rexford preferences.
+    #[inline]
     pub fn is_violator(&self, i: AsIndex) -> bool {
-        self.violators.contains(&i)
+        self.flags[i.us()] & FLAG_VIOLATOR != 0
     }
 
     /// True if `i` ignores its own ASN in received AS-paths.
+    #[inline]
     pub fn ignores_loop_prevention(&self, i: AsIndex) -> bool {
-        self.no_loop_prevention.contains(&i)
+        self.flags[i.us()] & FLAG_NO_LOOP_PREVENTION != 0
     }
 
     /// True if `i` is a tier-1 AS.
+    #[inline]
     pub fn is_tier1(&self, i: AsIndex) -> bool {
-        self.tier1_idx.contains(&i)
+        self.flags[i.us()] & FLAG_TIER1 != 0
     }
 
     /// Number of policy violators.
     pub fn num_violators(&self) -> usize {
-        self.violators.len()
+        self.num_violators
     }
 
     /// LocalPref that AS `at` assigns to a route learned from a neighbor of
     /// the given kind. Violators hash `(at, neighbor)` into the full
     /// LocalPref range, modeling arbitrary-but-stable policy.
     pub fn local_pref(&self, at: AsIndex, neighbor: Option<AsIndex>, kind: NeighborKind) -> u32 {
-        if self.violators.contains(&at) {
+        if self.is_violator(at) {
             let nid = neighbor.map(|n| n.0 as u64 + 1).unwrap_or(0);
             let h = mix64(self.seed ^ ((at.0 as u64) << 32) ^ nid);
             // Spread violator preferences across the Gao-Rexford band so
@@ -799,6 +813,34 @@ mod tests {
             },
         );
         (g.topology, t)
+    }
+
+    #[test]
+    fn dense_flags_match_the_seeded_rng_stream() {
+        let g = generate(&TopologyConfig::medium(6));
+        let cones = ConeInfo::compute(&g.topology);
+        let cfg = PolicyConfig {
+            seed: 42,
+            violator_fraction: 0.3,
+            no_loop_prevention_fraction: 0.2,
+            tier1_poison_filtering: true,
+            extensions: Default::default(),
+        };
+        let t = PolicyTable::build(&g.topology, &cones, &cfg);
+        // Replay the selection stream: two draws per AS in index order.
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let tier1s: HashSet<AsIndex> = cones.tier1s().collect();
+        let mut violators = 0;
+        for i in g.topology.indices() {
+            let violator = rng.random::<f64>() < cfg.violator_fraction;
+            let immune = rng.random::<f64>() < cfg.no_loop_prevention_fraction;
+            violators += violator as usize;
+            assert_eq!(t.is_violator(i), violator, "violator flag of {i:?}");
+            assert_eq!(t.ignores_loop_prevention(i), immune, "loop flag of {i:?}");
+            assert_eq!(t.is_tier1(i), tier1s.contains(&i), "tier-1 flag of {i:?}");
+        }
+        assert_eq!(t.num_violators(), violators);
+        assert!(violators > 0 && !tier1s.is_empty());
     }
 
     #[test]

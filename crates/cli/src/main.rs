@@ -159,13 +159,21 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    fn options(&self) -> Option<Options> {
+    /// The shared experiment options. A malformed value is an error
+    /// naming the flag, its value and what was expected.
+    fn options(&self) -> Result<Options, String> {
+        fn bad(flag: &str, value: &str, expected: &str) -> String {
+            format!("bad {flag} {value:?}: expected {expected}")
+        }
         let mut opts = Options::default();
         if let Some(s) = self.get("--scale") {
-            opts.scale = Scale::parse(s)?;
+            opts.scale = Scale::parse(s)
+                .ok_or_else(|| bad("--scale", s, "small|medium|full|large|internet"))?;
         }
         if let Some(s) = self.get("--seed") {
-            opts.seed = s.parse().ok()?;
+            opts.seed = s
+                .parse()
+                .map_err(|_| bad("--seed", s, "an unsigned 64-bit integer"))?;
         }
         opts.measured = self.has("--measured");
         opts.cold = self.has("--cold");
@@ -173,26 +181,42 @@ impl Args {
         if let Some(s) = self.get("--shards") {
             opts.shards = match s {
                 "auto" => 0,
-                _ => s.parse().ok()?,
+                _ => s
+                    .parse()
+                    .map_err(|_| bad("--shards", s, "a shard count or auto"))?,
             };
         }
         if let Some(s) = self.get("--threads") {
-            opts.threads = Some(s.parse().ok().filter(|&v| v >= 1)?);
+            opts.threads = Some(
+                s.parse()
+                    .ok()
+                    .filter(|&v| v >= 1)
+                    .ok_or_else(|| bad("--threads", s, "an integer >= 1"))?,
+            );
         }
         opts.metrics_out = self.get("--metrics-out").map(str::to_string);
         opts.metrics_deterministic = self.has("--metrics-deterministic");
         for d in self.get_all("--defense") {
-            opts.defenses.push(parse_defense(d)?);
+            opts.defenses.push(parse_defense(d).ok_or_else(|| {
+                bad(
+                    "--defense",
+                    d,
+                    "NAME=FRACTION[:BIAS] with a known NAME, FRACTION in [0, 1] \
+                     and BIAS uniform|core|stub",
+                )
+            })?);
         }
         if let Some(s) = self.get("--sketch") {
-            opts.sketch = Some(parse_sketch(s)?);
+            opts.sketch = Some(
+                parse_sketch(s).ok_or_else(|| bad("--sketch", s, "WIDTHxDEPTH with both >= 1"))?,
+            );
         }
-        Some(opts)
+        Ok(opts)
     }
 }
 
 fn cmd_topology(args: &Args) -> Result<(), String> {
-    let opts = args.options().ok_or("bad options")?;
+    let opts = args.options()?;
     let scenario = Scenario::build(opts);
     let text = match args.get("--format").unwrap_or("as-rel") {
         "as-rel" => to_as_rel(&scenario.gen.topology),
@@ -218,7 +242,7 @@ fn cmd_topology(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    let opts = args.options().ok_or("bad options")?;
+    let opts = args.options()?;
     let out_path = args.get("--out").ok_or("campaign requires --out FILE")?;
     let scenario = Scenario::build(opts);
     scenario.announce();
@@ -267,6 +291,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_localize(args: &Args) -> Result<(), String> {
+    let sketch = args.options()?.sketch;
     let ds = load_dataset(args)?;
     let attackers: Vec<Asn> = args
         .get_all("--attacker")
@@ -350,7 +375,7 @@ fn cmd_localize(args: &Args) -> Result<(), String> {
     }
     // Approximate path: stream the same attack as flows through a
     // count-min sketch and report the ranking with its error bound.
-    if let Some((width, depth)) = args.options().and_then(|o| o.sketch) {
+    if let Some((width, depth)) = sketch {
         use trackdown_traffic::{ingest_stream, DEFAULT_FLOW_BATCH};
         let flows: Vec<trackdown_traffic::Flow> = per_as
             .iter()
@@ -1079,7 +1104,7 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
 /// trace-event JSON, and print the self-profile summary — per-phase
 /// exclusive/inclusive time and per-worker utilization.
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    let opts = args.options().ok_or("bad options")?;
+    let opts = args.options()?;
     let trace_out = args.get("--trace-out").unwrap_or("trace.json").to_string();
     let scenario = Scenario::build(opts);
     scenario.announce();
@@ -1092,6 +1117,17 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     fs::write(&trace_out, &json).map_err(|e| format!("write {trace_out}: {e}"))?;
     let summary = trackdown_obs::ProfileSummary::from_trace(&trace);
     print!("{}", summary.render());
+    let work = &campaign.stats.work;
+    println!(
+        "drain work: {} decide calls ({} rescans, {} RIB slots scanned), \
+         {} export offers ({} policy drops), {} arena pushes",
+        work.decide_calls,
+        work.decide_rescans,
+        work.slots_scanned,
+        work.export_offers,
+        work.export_policy_drops,
+        work.arena_pushes
+    );
     println!(
         "steal fails {} over {} worker(s); wrote {trace_out} ({} events) — \
          load it at https://ui.perfetto.dev or chrome://tracing",
@@ -1189,10 +1225,15 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = argv.split_first() else {
         return usage();
     };
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        return usage();
+    }
     let Some(args) = Args::parse(rest) else {
         return usage();
     };
-    let result = match cmd.as_str() {
+    // Every command rejects a malformed option value, including the
+    // commands that do not read it.
+    let result = args.options().and_then(|_| match cmd.as_str() {
         "topology" => cmd_topology(&args),
         "campaign" => cmd_campaign(&args),
         "info" => cmd_info(&args),
@@ -1202,9 +1243,8 @@ fn main() -> ExitCode {
         "validate-manifest" => cmd_validate_manifest(&args),
         "profile" => cmd_profile(&args),
         "perf-report" => cmd_perf_report(&args),
-        "--help" | "-h" | "help" => return usage(),
         other => Err(format!("unknown command {other:?}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1248,7 +1288,32 @@ mod tests {
         assert!(Args::parse(&argv(&["positional"])).is_none());
         assert!(Args::parse(&argv(&["--out"])).is_none()); // missing value
         let a = Args::parse(&argv(&["--scale", "bogus"])).unwrap();
-        assert!(a.options().is_none());
+        assert!(a.options().is_err());
+    }
+
+    #[test]
+    fn bad_option_values_name_the_flag() {
+        for (flag, value) in [("--sketch", "0x0"), ("--scale", "nope"), ("--seed", "x")] {
+            let a = Args::parse(&argv(&[flag, value])).unwrap();
+            let err = a.options().expect_err(flag);
+            assert!(
+                err.contains(flag) && err.contains(value),
+                "{flag}: unhelpful error {err:?}"
+            );
+        }
+        // localize used to drop a bad --sketch silently and exit 0; it now
+        // fails before touching the dataset.
+        let a = Args::parse(&argv(&[
+            "--dataset",
+            "missing.json",
+            "--attacker",
+            "AS1",
+            "--sketch",
+            "0x0",
+        ]))
+        .unwrap();
+        let err = cmd_localize(&a).expect_err("bad --sketch must fail");
+        assert!(err.contains("--sketch"), "{err}");
     }
 
     #[test]

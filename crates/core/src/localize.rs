@@ -7,7 +7,9 @@ use crate::config::AnnouncementConfig;
 use crate::schedule::warm_start_order;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use trackdown_bgp::{BgpEngine, Catchments, LinkId, OriginAs, RoutingOutcome, SnapshotDetail};
+use trackdown_bgp::{
+    BgpEngine, Catchments, DrainWork, LinkId, OriginAs, RoutingOutcome, SnapshotDetail,
+};
 use trackdown_measure::{
     analysis_set, impute_visibility, ImputationStats, MeasuredCatchments, MeasurementPlane,
 };
@@ -92,6 +94,16 @@ pub struct CampaignStats {
     /// so warm/delta event ratios are comparable across machines — the
     /// work-unit metric the bench snapshot's `delta_speedup` reports.
     pub events: usize,
+    /// Drain work counters summed over every deployed epoch
+    /// ([`RoutingOutcome::work`]). Deterministic like `events`.
+    #[serde(skip)]
+    pub work: DrainWork,
+    /// Policy violators that turned warm/delta reuse off: the session
+    /// cold-started every deployment although `mode` asked for reuse
+    /// (see [`trackdown_bgp::CampaignSession::warm_reuse`]). 0 when
+    /// reuse ran or [`CampaignMode::Cold`] was requested.
+    #[serde(default)]
+    pub warm_reuse_disabled_violators: usize,
     /// Steal attempts by the sharded executor that found the queue empty
     /// (0 for the other executors). A high count relative to
     /// `campaign.shard_steals` means workers spin on an empty queue —
@@ -119,10 +131,22 @@ impl Default for CampaignStats {
             merged_arena_nodes: 0,
             routes_disturbed: 0,
             events: 0,
+            work: DrainWork::default(),
+            warm_reuse_disabled_violators: 0,
             shard_steal_fails: 0,
             worker_busy_us: Vec::new(),
             worker_idle_us: Vec::new(),
         }
+    }
+}
+
+/// The violator count that makes `engine`'s sessions cold-start every
+/// deployment of a `mode` campaign, or 0 when reuse runs (or was never
+/// requested).
+fn reuse_disabled_violators(engine: &BgpEngine<'_>, mode: CampaignMode) -> usize {
+    match mode {
+        CampaignMode::Cold => 0,
+        CampaignMode::Warm | CampaignMode::Delta => engine.policy().num_violators(),
     }
 }
 
@@ -417,6 +441,7 @@ pub fn run_campaign_recorded(
     let mut memo: HashMap<String, usize> = HashMap::new();
     let mut stats = CampaignStats {
         mode,
+        warm_reuse_disabled_violators: reuse_disabled_violators(engine, mode),
         ..CampaignStats::default()
     };
     // Delta mode patches control-plane catchments from the epoch change
@@ -505,6 +530,7 @@ pub fn run_campaign_recorded(
         stats.propagations += 1;
         stats.routes_disturbed += outcome.routes_disturbed;
         stats.events += outcome.events;
+        stats.work += outcome.work;
         converged_by_k[k] = Some(outcome.converged);
         match source {
             CatchmentSource::Measured => {
@@ -669,6 +695,7 @@ pub fn run_campaign_parallel_recorded(
     let mut stats = CampaignStats {
         mode,
         threads: configs.chunks(chunk_size).len(),
+        warm_reuse_disabled_violators: reuse_disabled_violators(engine, mode),
         ..CampaignStats::default()
     };
     std::thread::scope(|scope| {
@@ -687,6 +714,7 @@ pub fn run_campaign_parallel_recorded(
                 let mut memo_hits = 0usize;
                 let mut disturbed = 0usize;
                 let mut events = 0usize;
+                let mut work = DrainWork::default();
                 // Patch base for delta control-plane extraction: the last
                 // epoch this worker actually deployed (memo hits replay).
                 let mut last_deployed: Option<usize> = None;
@@ -757,6 +785,7 @@ pub fn run_campaign_parallel_recorded(
                     propagations += 1;
                     disturbed += outcome.routes_disturbed;
                     events += outcome.events;
+                    work += outcome.work;
                     // Same incremental patch as the sequential executor:
                     // the change log is exactly the set of moved routes.
                     let patched = if mode == CampaignMode::Delta
@@ -785,7 +814,7 @@ pub fn run_campaign_parallel_recorded(
                     propagations,
                     memo_hits,
                     disturbed,
-                    events,
+                    (events, work),
                     session.cold_restarts(),
                     session.peak_arena_nodes(),
                 )
@@ -798,7 +827,7 @@ pub fn run_campaign_parallel_recorded(
                 propagations,
                 memo_hits,
                 disturbed,
-                events,
+                (events, work),
                 cold_restarts,
                 peak_arena,
             ) = h.join().expect("worker panicked");
@@ -809,6 +838,7 @@ pub fn run_campaign_parallel_recorded(
             stats.memo_hits += memo_hits;
             stats.routes_disturbed += disturbed;
             stats.events += events;
+            stats.work += work;
             stats.cold_restarts += cold_restarts;
             // Per-worker arenas: the campaign's footprint is the largest
             // single arena, not the sum.
@@ -1078,6 +1108,7 @@ pub fn run_campaign_sharded_recorded(
         mode,
         threads: num_workers,
         shards: num_shards,
+        warm_reuse_disabled_violators: reuse_disabled_violators(engine, mode),
         ..CampaignStats::default()
     };
     let mut converged_by_k: Vec<Option<bool>> = vec![None; configs.len()];
@@ -1116,6 +1147,7 @@ pub fn run_campaign_sharded_recorded(
                 let mut memo_hits = 0usize;
                 let mut disturbed = 0usize;
                 let mut events = 0usize;
+                let mut work = DrainWork::default();
                 // Utilization accounting, accumulated worker-locally so
                 // the drain spin loop touches no shared cache lines.
                 let worker_start = std::time::Instant::now();
@@ -1198,6 +1230,7 @@ pub fn run_campaign_sharded_recorded(
                     propagations += 1;
                     disturbed += outcome.routes_disturbed;
                     events += outcome.events;
+                    work += outcome.work;
                     converged[off] = Some(outcome.converged);
                     if matches!(mode, CampaignMode::Warm | CampaignMode::Delta) {
                         roots.clear();
@@ -1287,7 +1320,7 @@ pub fn run_campaign_sharded_recorded(
                     converged,
                     pairs,
                     propagations,
-                    (memo_hits, disturbed, events),
+                    (memo_hits, disturbed, events, work),
                     session.cold_restarts(),
                     session.peak_arena_nodes(),
                     collector.store(),
@@ -1306,6 +1339,7 @@ pub fn run_campaign_sharded_recorded(
             stats.memo_hits += counts.0;
             stats.routes_disturbed += counts.1;
             stats.events += counts.2;
+            stats.work += counts.3;
             stats.cold_restarts += cold_restarts;
             stats.peak_arena_nodes = stats.peak_arena_nodes.max(peak);
             stats.worker_busy_us.push(util.0);

@@ -621,19 +621,39 @@ impl Scenario {
 
 /// Emit the uniform `obs campaign.stats ...` event for a finished
 /// campaign: execution counters plus localization quality headline.
+///
+/// `mode` is the requested executor. When policy violators made the
+/// session cold-start every deployment instead, the line adds
+/// `mode_effective=cold warm_reuse_disabled=violators:N`.
 pub fn report_stats(campaign: &Campaign) {
-    trackdown_obs::progress!(
-        "campaign.stats",
-        mode = format!("{:?}", campaign.stats.mode).to_lowercase(),
-        configs = campaign.configs.len(),
-        tracked = campaign.tracked.len(),
-        propagations = campaign.stats.propagations,
-        memo_hits = campaign.stats.memo_hits,
-        cold_restarts = campaign.stats.cold_restarts,
-        threads = campaign.stats.threads,
-        shards = campaign.stats.shards,
-        mean_cluster_size = format!("{:.3}", campaign.clustering.mean_size())
-    );
+    trackdown_obs::progress::emit("campaign.stats", &stats_fields(campaign));
+}
+
+/// The `campaign.stats` fields of [`report_stats`], in line order.
+fn stats_fields(campaign: &Campaign) -> Vec<(&'static str, String)> {
+    let stats = &campaign.stats;
+    let mut fields = vec![("mode", format!("{:?}", stats.mode).to_lowercase())];
+    if stats.warm_reuse_disabled_violators > 0 {
+        fields.push(("mode_effective", "cold".to_string()));
+        fields.push((
+            "warm_reuse_disabled",
+            format!("violators:{}", stats.warm_reuse_disabled_violators),
+        ));
+    }
+    fields.extend([
+        ("configs", campaign.configs.len().to_string()),
+        ("tracked", campaign.tracked.len().to_string()),
+        ("propagations", stats.propagations.to_string()),
+        ("memo_hits", stats.memo_hits.to_string()),
+        ("cold_restarts", stats.cold_restarts.to_string()),
+        ("threads", stats.threads.to_string()),
+        ("shards", stats.shards.to_string()),
+        (
+            "mean_cluster_size",
+            format!("{:.3}", campaign.clustering.mean_size()),
+        ),
+    ]);
+    fields
 }
 
 /// Render a campaign's phase boundaries as text (used by several figures).
@@ -697,6 +717,31 @@ mod tests {
         let summary = phase_summary(&campaign);
         assert!(summary.contains("location"));
         assert!(summary.contains("poisoning"));
+    }
+
+    #[test]
+    fn stats_say_when_violators_force_cold_starts() {
+        let small = |cold| Options {
+            scale: Scale::Small,
+            seed: 3,
+            cold,
+            ..Options::default()
+        };
+        let s = Scenario::build(small(false));
+        let violators = s.engine().policy().num_violators();
+        assert!(violators > 0, "the default policy has violators");
+        let fields = stats_fields(&s.run());
+        let get = |k: &str| fields.iter().find(|(f, _)| *f == k).map(|(_, v)| v.clone());
+        assert_eq!(get("mode").as_deref(), Some("warm"));
+        assert_eq!(get("mode_effective").as_deref(), Some("cold"));
+        assert_eq!(
+            get("warm_reuse_disabled"),
+            Some(format!("violators:{violators}"))
+        );
+        // A requested cold run is exactly what ran: nothing to add.
+        let cold = stats_fields(&Scenario::build(small(true)).run());
+        assert!(cold.iter().all(|(f, _)| *f != "mode_effective"));
+        assert!(cold.iter().any(|(f, v)| *f == "mode" && v == "cold"));
     }
 
     #[test]

@@ -147,12 +147,12 @@ impl Topology {
     }
 
     /// The relationship between two ASes, if they are linked:
-    /// how `b` looks from `a`.
+    /// how `b` looks from `a`. O(log degree): neighbor lists are sorted.
     pub fn relationship(&self, a: AsIndex, b: AsIndex) -> Option<NeighborKind> {
-        self.adjacency[a.us()]
-            .iter()
-            .find(|(n, _)| *n == b)
-            .map(|(_, k)| *k)
+        let adj = &self.adjacency[a.us()];
+        adj.binary_search_by_key(&b, |(n, _)| *n)
+            .ok()
+            .map(|k| adj[k].1)
     }
 
     /// True if `a` and `b` share a link.

@@ -99,6 +99,45 @@ fn parallel_campaign_is_thread_count_invariant() {
     }
 }
 
+/// The drain's work counters are deterministic units: two runs agree, and
+/// so do 1 and 2 worker threads (the default policy has violators, so
+/// every deployment cold-starts and no epoch depends on its worker's
+/// previous one).
+#[test]
+fn drain_work_counters_are_run_and_thread_invariant() {
+    let world = generate(&TopologyConfig::small(0xD00D));
+    let origin = OriginAs::peering_style(&world, 4);
+    let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
+    let schedule = full_schedule(
+        &world.topology,
+        &origin,
+        &GeneratorParams {
+            max_removals: 2,
+            max_poison_configs: Some(10),
+        },
+    );
+    let (_, _, first) = campaign();
+    let (_, _, second) = campaign();
+    let work = first.stats.work;
+    assert_eq!(work, second.stats.work, "two runs");
+    // Every processed event runs one selection; a few rescan.
+    assert_eq!(work.decide_calls, first.stats.events);
+    assert!(work.decide_rescans > 0 && work.decide_rescans < work.decide_calls);
+    assert!(work.slots_scanned > 0 && work.export_offers > 0 && work.arena_pushes > 0);
+    assert!(work.export_policy_drops < work.export_offers);
+    for threads in [1, 2] {
+        let par = run_campaign_parallel(
+            &engine,
+            &origin,
+            &schedule,
+            CatchmentSource::ControlPlane,
+            200,
+            threads,
+        );
+        assert_eq!(par.stats.work, work, "{threads} threads");
+    }
+}
+
 /// First run records the value; later assertions compare against the
 /// table below. Keeping the table inline (not on disk) means a change is
 /// a loud compile-adjacent diff, not a stale file.

@@ -413,6 +413,64 @@ proptest! {
     }
 }
 
+/// Arena-independent identity of a best route: materialized path,
+/// ingress, next hop and LocalPref.
+type BestKey = (AsPath, LinkId, Option<AsIndex>, u32);
+
+fn best_keys(out: &RoutingOutcome) -> Vec<Option<BestKey>> {
+    out.best
+        .iter()
+        .map(|b| b.map(|r| (out.path_of(&r), r.ingress, r.from_neighbor, r.local_pref)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // The drain selects through a cached best RIB slot and interns each
+    // exported path once per event. Violators (non-unique stable states,
+    // event-cap restarts) and loop-prevention-immune ASes (poisoned paths
+    // accepted) stress both. Cold runs must equal the materialized-path
+    // reference, and warm and delta sessions must equal cold, across a
+    // chain of random deployments.
+    #[test]
+    fn cached_selection_matches_oracles_with_violators_and_immune_ases(
+        topo_seed in 0u64..100,
+        policy_seed in 0u64..50,
+        violators in 0u8..2,
+        immune in 1u8..4,
+        chain in proptest::collection::vec(
+            proptest::collection::vec(0u8..48, 4), 2..5),
+    ) {
+        let g = generate(&TopologyConfig::small(topo_seed));
+        let origin = OriginAs::peering_style(&g, 4);
+        let cfg = engine_config(
+            policy_seed,
+            if violators == 1 { 0.3 } else { 0.0 },
+            0.05 * f64::from(immune),
+            true,
+        );
+        let engine = BgpEngine::new(&g.topology, &cfg);
+        let mut warm = engine.session();
+        let mut delta = engine.session();
+        for knobs in &chain {
+            let anns = announcements_from_knobs(&g.topology, &origin, knobs);
+            let inj = origin.build_injections(&g.topology, &anns).unwrap();
+            let cold = engine.propagate_detailed(&inj, 200, SnapshotDetail::Full);
+            assert_outcome_matches_reference(&cold, &ref_propagate(&engine, &inj, 200));
+            if cold.converged {
+                prop_assert_eq!(cold.work.decide_calls, cold.events);
+            }
+            let w = warm.deploy_detailed(&inj, 200, SnapshotDetail::Full);
+            let d = delta.deploy_delta_detailed(&inj, 200, SnapshotDetail::Full);
+            prop_assert_eq!(w.converged, cold.converged);
+            prop_assert_eq!(d.converged, cold.converged);
+            prop_assert_eq!(best_keys(&w), best_keys(&cold), "warm != cold");
+            prop_assert_eq!(best_keys(&d), best_keys(&cold), "delta != cold");
+        }
+    }
+}
+
 /// Campaign-level differential: Warm and Cold executors at 1, 2, and 8
 /// threads all agree with each other *and* with the reference propagator
 /// run per configuration.
