@@ -237,4 +237,65 @@ mod tests {
             Err(AsRelError::Topology(_))
         ));
     }
+
+    /// Whatever `parse_as_rel` accepts must survive a re-export.
+    fn check_loader(text: &str) {
+        if let Ok(topo) = parse_as_rel(text) {
+            let back = parse_as_rel(&to_as_rel(&topo)).expect("re-export parses");
+            assert_eq!(back.links(), topo.links());
+            assert_eq!(back.asns(), topo.asns());
+        }
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary bytes are an `Ok` or an `Err`, never a panic.
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+                check_loader(&String::from_utf8_lossy(&bytes));
+            }
+
+            /// Valid as-rel text with a few bytes flipped (mostly to
+            /// format characters) and possibly truncated.
+            #[test]
+            fn mutated_as_rel_never_panics(
+                flips in proptest::collection::vec((0usize..1 << 20, any::<u8>()), 0..6),
+                cut in 0usize..1 << 20,
+                truncate in any::<bool>(),
+            ) {
+                const ALPHABET: &[u8] = b"0123456789|-+#\n \tASas";
+                let doc = "# as-rel\n1|2|-1\n1|3|-1\n2|3|0\n3|4|-1\n2|4|-1\n4|5|-1\n5|6|0\n";
+                let mut bytes = doc.as_bytes().to_vec();
+                for (pos, b) in flips {
+                    let at = pos % bytes.len();
+                    bytes[at] = if b & 1 == 0 { ALPHABET[b as usize % ALPHABET.len()] } else { b };
+                }
+                if truncate {
+                    bytes.truncate(cut % (bytes.len() + 1));
+                }
+                check_loader(&String::from_utf8_lossy(&bytes));
+            }
+
+            /// Lines assembled from as-rel field fragments, including
+            /// out-of-range numbers, self loops and duplicate links.
+            #[test]
+            fn as_rel_line_soup_never_panics(
+                lines in proptest::collection::vec(
+                    proptest::collection::vec(0usize..16, 0..7), 0..12),
+            ) {
+                const PARTS: [&str; 16] = [
+                    "1", "2", "AS3", "4294967295", "4294967296", "-1", "0", "1", "-128",
+                    "|", "|", " ", "#", "\u{e9}", "as", "-",
+                ];
+                let doc: String = lines
+                    .iter()
+                    .map(|l| l.iter().map(|&p| PARTS[p]).collect::<String>() + "\n")
+                    .collect();
+                check_loader(&doc);
+            }
+        }
+    }
 }
