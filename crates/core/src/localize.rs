@@ -1073,7 +1073,11 @@ pub fn run_campaign_sharded_recorded(
         outcome: Arc<RoutingOutcome>,
     }
 
-    let queue: Mutex<VecDeque<ExtractTask>> = Mutex::new(VecDeque::new());
+    // Sized for every task up front: the queue never grows under the
+    // lock, and its buffer's size does not depend on how far producers
+    // ran ahead of the stealers.
+    let queue: Mutex<VecDeque<ExtractTask>> =
+        Mutex::new(VecDeque::with_capacity(configs.len() * num_shards));
     // Producers still propagating; stealers spin until this hits zero.
     let producers = AtomicUsize::new(num_workers);
     let parts: Mutex<Vec<Option<trackdown_bgp::ShardCatchments>>> =

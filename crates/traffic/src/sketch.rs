@@ -34,6 +34,7 @@
 //! error bound, but it can never silently clear a guilty cluster.
 
 use crate::flow::Flow;
+use std::sync::Arc;
 use trackdown_bgp::{Catchments, LinkId};
 
 /// Default number of flows per streaming batch (see [`ingest_stream`]).
@@ -192,7 +193,9 @@ impl VolumeAccumulator for [Vec<u64>] {
 pub struct CountMinSketch {
     width: usize,
     depth: usize,
-    seeds: Vec<u64>,
+    /// Per-row hash seeds. Never mutated, so clones share one allocation:
+    /// an accumulator's per-configuration sketches hold a single copy.
+    seeds: Arc<[u64]>,
     buckets: Vec<u64>,
     occupied: usize,
     total: u64,
@@ -385,9 +388,7 @@ impl SketchAccumulator {
             num_links,
             depth,
             link_indexes,
-            sketches: (0..num_configs)
-                .map(|_| CountMinSketch::new(width, depth, seed))
-                .collect(),
+            sketches: vec![proto; num_configs],
         }
     }
 
