@@ -1106,9 +1106,10 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let opts = args.options()?;
     let trace_out = args.get("--trace-out").unwrap_or("trace.json").to_string();
+    // Armed before the build, so topology generation is a profiled layer.
+    trackdown_obs::start_trace(trackdown_obs::TraceConfig::default());
     let scenario = Scenario::build(opts);
     scenario.announce();
-    trackdown_obs::start_trace(trackdown_obs::TraceConfig::default());
     let campaign = scenario.run_recorded(None);
     let trace = trackdown_obs::end_trace().ok_or("tracing produced no trace")?;
     report_stats(&campaign);

@@ -380,6 +380,7 @@ pub struct Scenario {
 impl Scenario {
     /// Build the scenario for the given options.
     pub fn build(opts: Options) -> Scenario {
+        let _span = trackdown_obs::span("scenario.build");
         let (topo_cfg, pops, params) = match opts.scale {
             Scale::Small => (
                 TopologyConfig::small(opts.seed),
@@ -425,10 +426,13 @@ impl Scenario {
                 },
             ),
         };
-        let gen = if opts.scale == Scale::Internet {
-            internet_topology(&topo_cfg)
-        } else {
-            generate(&topo_cfg)
+        let gen = {
+            let _span = trackdown_obs::span("topology.generate");
+            if opts.scale == Scale::Internet {
+                internet_topology(&topo_cfg)
+            } else {
+                generate(&topo_cfg)
+            }
         };
         let origin = OriginAs::peering_style(&gen, pops);
         let mut policy = PolicyConfig {
@@ -459,11 +463,13 @@ impl Scenario {
 
     /// Build the BGP engine (borrows the scenario's topology).
     pub fn engine(&self) -> BgpEngine<'_> {
+        let _span = trackdown_obs::span("bgp.engine");
         BgpEngine::new(&self.gen.topology, &self.engine_cfg)
     }
 
     /// The full three-phase schedule.
     pub fn schedule(&self) -> Vec<AnnouncementConfig> {
+        let _span = trackdown_obs::span("schedule.build");
         full_schedule(&self.gen.topology, &self.origin, &self.params)
     }
 

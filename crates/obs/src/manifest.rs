@@ -5,11 +5,12 @@
 //! explicit key list (no derive-driven field sets), and a checked-in
 //! [`validate_manifest`] asserts exact key sets so CI catches schema
 //! drift. In *deterministic* mode no wall-clock-derived field is
-//! emitted at all — `wall_us` is dropped from epoch lines and `time.*`
-//! histograms from the metrics snapshot — so two runs of the same
-//! campaign produce byte-identical manifests.
+//! emitted at all — `wall_us` is dropped from epoch lines, `time.*`
+//! histograms and the thread-timing `TIMING_COUNTERS` from the metrics
+//! snapshot — so two runs of the same campaign produce byte-identical
+//! manifests.
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{MetricsSnapshot, TIMING_COUNTERS};
 use serde::{obj_get, Serialize, Value};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -461,10 +462,21 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
                 let histograms = obj_get(record, "histograms")
                     .and_then(|v| v.as_object())
                     .ok_or(format!("line {no}: histograms is not an object"))?;
+                let counters = obj_get(record, "counters")
+                    .and_then(|v| v.as_object())
+                    .ok_or(format!("line {no}: counters is not an object"))?;
                 if deterministic {
                     if let Some((k, _)) = histograms.iter().find(|(k, _)| k.starts_with("time.")) {
                         return Err(format!(
                             "line {no}: wall-clock histogram {k:?} in deterministic manifest"
+                        ));
+                    }
+                    if let Some((k, _)) = counters
+                        .iter()
+                        .find(|(k, _)| TIMING_COUNTERS.contains(&k.as_str()))
+                    {
+                        return Err(format!(
+                            "line {no}: thread-timing counter {k:?} in deterministic manifest"
                         ));
                     }
                 }
@@ -627,5 +639,39 @@ mod tests {
         let traceless = good.replace("\"trace\":\"off\",", "");
         assert!(validate_manifest(&traceless).is_err());
         assert!(validate_manifest("").is_err());
+    }
+
+    /// Two runs of one campaign differ only in the thread-timing
+    /// counters; their deterministic manifests, metrics record included,
+    /// must still be byte-identical.
+    #[test]
+    fn deterministic_metrics_record_ignores_timing_counters() {
+        let render = |steal_fails: u64, deterministic: bool| {
+            let reg = Registry::new();
+            reg.counter("bgp.events").add(14);
+            reg.counter("campaign.shard_steals").add(steal_fails / 2);
+            reg.counter("campaign.shard_steal_fails").add(steal_fails);
+            reg.histogram("time.deploy_us").observe(steal_fails);
+            render_manifest(
+                &run_info(deterministic),
+                &records(None),
+                Some(&reg.snapshot()),
+            )
+        };
+        let a = render(136, true);
+        assert_eq!(a, render(137, true));
+        assert!(a.contains("\"bgp.events\":14"));
+        assert!(!a.contains("shard_steal"));
+        validate_manifest(&a).expect("deterministic manifest validates");
+        // Non-deterministic manifests keep them, and the validator
+        // rejects them once a header claims determinism.
+        let full = render(136, false);
+        assert!(full.contains("\"campaign.shard_steal_fails\":136"));
+        let claimed = full
+            .replace("\"deterministic\":false", "\"deterministic\":true")
+            .replace("\"shards\":1,\"trace\":\"off\",", "")
+            .replace("\"time.deploy_us\"", "\"size.deploy_us\"");
+        let err = validate_manifest(&claimed).expect_err("timing counter leaked");
+        assert!(err.contains("thread-timing counter"), "{err}");
     }
 }

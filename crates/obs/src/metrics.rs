@@ -184,12 +184,24 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
+/// Counters that measure thread timing rather than campaign work: how
+/// often a sharded-executor worker stole a task or found the queue empty.
+/// Two runs of the same campaign differ in them.
+pub(crate) const TIMING_COUNTERS: &[&str] =
+    &["campaign.shard_steals", "campaign.shard_steal_fails"];
+
 impl MetricsSnapshot {
     /// Copy of this snapshot with every wall-clock-derived metric
-    /// (`time.*` histograms) removed — the deterministic-manifest view.
+    /// (`time.*` histograms) and every `TIMING_COUNTERS` entry removed —
+    /// the deterministic-manifest view.
     pub fn without_time(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.clone(),
+            counters: self
+                .counters
+                .iter()
+                .filter(|(k, _)| !TIMING_COUNTERS.contains(&k.as_str()))
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
             gauges: self.gauges.clone(),
             histograms: self
                 .histograms
@@ -366,5 +378,19 @@ mod tests {
         assert!(snap.counters.contains_key("a"));
         assert!(!snap.histograms.contains_key("time.x"));
         assert!(snap.histograms.contains_key("size.x"));
+    }
+
+    #[test]
+    fn without_time_drops_timing_counters() {
+        let reg = Registry::new();
+        reg.counter("campaign.shard_tasks").add(4);
+        for name in TIMING_COUNTERS {
+            reg.counter(name).inc();
+        }
+        let snap = reg.snapshot().without_time();
+        assert_eq!(snap.counters.get("campaign.shard_tasks"), Some(&4));
+        for name in TIMING_COUNTERS {
+            assert!(!snap.counters.contains_key(*name), "{name} kept");
+        }
     }
 }

@@ -129,8 +129,10 @@ impl TopologyConfig {
     }
 
     /// The `large` experiment scale: a power-law graph of ≈12 000 ASes,
-    /// the smallest size at which sharded catchment extraction pays for
-    /// its coordination (see `bench-snapshot`'s large arm).
+    /// the mid-size arm between the paper-sized `full` universe and the
+    /// 80 000-AS `internet` graph. At this size the drain is almost all
+    /// of a campaign; catchment extraction is about 1%, so sharding it
+    /// measures within noise of unsharded execution (see ROADMAP.md).
     pub fn large(seed: u64) -> TopologyConfig {
         TopologyConfig::power_law(seed, 12_000)
     }
@@ -274,59 +276,154 @@ fn sample_multihoming<R: Rng>(rng: &mut R, mean: f64, max: usize) -> usize {
     n
 }
 
-/// Pick `count` distinct providers from `pool` with probability proportional
-/// to `weight(candidate) + 1` (preferential attachment), respecting regional
-/// bias. Returns fewer if the pool is too small.
-fn pick_providers<R: Rng>(
-    rng: &mut R,
-    pool: &[(Asn, u8)], // (candidate, region)
-    weights: impl Fn(Asn) -> usize,
-    my_region: u8,
-    cross_region_prob: f64,
-    count: usize,
-) -> Vec<Asn> {
-    let mut chosen: Vec<Asn> = Vec::with_capacity(count);
-    for _ in 0..count {
-        let cross = rng.random::<f64>() < cross_region_prob;
-        // Candidates: same-region unless we roll a cross-region pick; fall
-        // back to the whole pool when the filtered set is exhausted.
-        let candidates: Vec<Asn> = pool
-            .iter()
-            .filter(|(a, r)| {
-                !chosen.contains(a)
-                    && if cross {
-                        *r != my_region
-                    } else {
-                        *r == my_region
-                    }
-            })
-            .map(|(a, _)| *a)
-            .collect();
-        let candidates = if candidates.is_empty() {
-            pool.iter()
-                .filter(|(a, _)| !chosen.contains(a))
-                .map(|(a, _)| *a)
-                .collect::<Vec<_>>()
-        } else {
-            candidates
-        };
-        if candidates.is_empty() {
-            break;
+/// A provider pool for preferential attachment: each member is drawn
+/// with probability proportional to its weight (customers so far + 1),
+/// restricted to the chooser's region or to the other regions.
+///
+/// Weights live in Fenwick trees over pool positions: one over the whole
+/// pool and one per region, so the out-of-region weight of a prefix is the
+/// node-wise difference of the two. A draw descends to the smallest
+/// position whose filtered prefix sum exceeds the roll, which is the entry
+/// a linear scan over the filtered candidates in pool order lands on.
+struct Pool {
+    /// `(ASN, region)` in pool order.
+    members: Vec<(Asn, u8)>,
+    /// Current weight of each position (0 while chosen in a `pick`).
+    weight: Vec<usize>,
+    /// 1-based Fenwick tree over `weight`.
+    all: Vec<usize>,
+    /// 1-based Fenwick tree over `weight` masked to one region.
+    by_region: Vec<Vec<usize>>,
+    total: usize,
+    region_total: Vec<usize>,
+}
+
+impl Pool {
+    fn new(members: Vec<(Asn, u8)>, weight: Vec<usize>, num_regions: usize) -> Pool {
+        let n = members.len();
+        let mut all = vec![0; n + 1];
+        let mut by_region = vec![vec![0; n + 1]; num_regions];
+        let mut region_total = vec![0; num_regions];
+        for (k, (&(_, r), &w)) in members.iter().zip(&weight).enumerate() {
+            all[k + 1] += w;
+            by_region[r as usize][k + 1] += w;
+            region_total[r as usize] += w;
         }
-        let total: usize = candidates.iter().map(|&a| weights(a) + 1).sum();
-        let mut roll = rng.random_range(0..total);
-        let mut pick = candidates[0];
-        for &c in &candidates {
-            let w = weights(c) + 1;
-            if roll < w {
-                pick = c;
-                break;
+        // Linear-time Fenwick build: push each node into its parent.
+        for i in 1..=n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                all[parent] += all[i];
+                for tree in &mut by_region {
+                    tree[parent] += tree[i];
+                }
             }
-            roll -= w;
         }
-        chosen.push(pick);
+        Pool {
+            total: weight.iter().sum(),
+            members,
+            weight,
+            all,
+            by_region,
+            region_total,
+        }
     }
-    chosen
+
+    /// A pool of members that have no customers yet (weight 1 each).
+    fn fresh(members: Vec<(Asn, u8)>, num_regions: usize) -> Pool {
+        let weight = vec![1; members.len()];
+        Pool::new(members, weight, num_regions)
+    }
+
+    fn set_weight(&mut self, pos: usize, w: usize) {
+        // Wrapping deltas keep every node an exact sum modulo 2^64.
+        let delta = w.wrapping_sub(self.weight[pos]);
+        let r = self.members[pos].1 as usize;
+        self.weight[pos] = w;
+        self.total = self.total.wrapping_add(delta);
+        self.region_total[r] = self.region_total[r].wrapping_add(delta);
+        let mut i = pos + 1;
+        while i < self.all.len() {
+            self.all[i] = self.all[i].wrapping_add(delta);
+            self.by_region[r][i] = self.by_region[r][i].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Smallest position whose prefix sum (over the tree `node` reads)
+    /// exceeds `roll`.
+    fn descend(&self, mut roll: usize, node: impl Fn(usize) -> usize) -> usize {
+        let n = self.members.len();
+        let mut pos = 0;
+        let mut step = 1 << n.ilog2();
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && node(next) <= roll {
+                pos = next;
+                roll -= node(next);
+            }
+            step >>= 1;
+        }
+        pos
+    }
+
+    /// Pick up to `count` distinct positions, each in `my_region` unless
+    /// a cross-region roll succeeds; an empty side falls back to the whole
+    /// pool, and an exhausted pool ends the call early. The random draws
+    /// are one `f64` and one `0..total` roll per pick, exactly as the
+    /// linear reference scan makes them.
+    fn pick<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        my_region: u8,
+        cross_region_prob: f64,
+        count: usize,
+    ) -> Vec<usize> {
+        let r = my_region as usize;
+        let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let cross = rng.random::<f64>() < cross_region_prob;
+            let own = self.region_total[r];
+            let pos = if !cross && own > 0 {
+                let roll = rng.random_range(0..own);
+                self.descend(roll, |i| self.by_region[r][i])
+            } else if cross && self.total - own > 0 {
+                let roll = rng.random_range(0..self.total - own);
+                self.descend(roll, |i| self.all[i] - self.by_region[r][i])
+            } else if self.total > 0 {
+                let roll = rng.random_range(0..self.total);
+                self.descend(roll, |i| self.all[i])
+            } else {
+                break;
+            };
+            chosen.push((pos, self.weight[pos]));
+            self.set_weight(pos, 0);
+        }
+        for &(pos, w) in &chosen {
+            self.set_weight(pos, w);
+        }
+        chosen.into_iter().map(|(pos, _)| pos).collect()
+    }
+
+    /// Pick providers for `customer`, link them, and grow each picked
+    /// provider's weight by its new customer. Returns the number linked.
+    fn attach<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        builder: &mut TopologyBuilder,
+        customer: (Asn, u8),
+        cross_region_prob: f64,
+        count: usize,
+    ) -> usize {
+        let picks = self.pick(rng, customer.1, cross_region_prob, count);
+        for &pos in &picks {
+            builder
+                .add_provider_customer(self.members[pos].0, customer.0)
+                .expect("new link");
+            self.set_weight(pos, self.weight[pos] + 1);
+        }
+        picks.len()
+    }
 }
 
 /// Generate an Internet-like topology from a configuration.
@@ -340,10 +437,7 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut builder = TopologyBuilder::with_capacity(config.total_ases());
     let mut regions: Vec<u8> = Vec::with_capacity(config.total_ases());
-    // Customer counts for preferential attachment, keyed by ASN value for
-    // simplicity (ASNs are assigned densely below).
-    let mut customer_count: std::collections::HashMap<Asn, usize> =
-        std::collections::HashMap::new();
+    let cross = config.cross_region_prob;
 
     let mut next_asn = 100u32;
     let fresh_asn = |n: &mut u32| {
@@ -367,13 +461,11 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
     }
 
     // --- Large transit --------------------------------------------------
-    let tier1_pool: Vec<(Asn, u8)> = tier1s
-        .iter()
-        .enumerate()
-        .map(|(k, &a)| (a, (k % config.num_regions) as u8))
-        .collect();
+    let tier1_members = tier1s.iter().enumerate();
+    let tier1_members = tier1_members.map(|(k, &a)| (a, (k % config.num_regions) as u8));
+    let mut tier1_pool = Pool::fresh(tier1_members.collect(), config.num_regions);
     let mut large_transits = Vec::with_capacity(config.num_large_transit);
-    let mut large_pool: Vec<(Asn, u8)> = Vec::new();
+    let mut large_members: Vec<(Asn, u8)> = Vec::new();
     for _ in 0..config.num_large_transit {
         let a = fresh_asn(&mut next_asn);
         builder.add_as(a).expect("fresh ASN");
@@ -381,26 +473,15 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
         regions.push(region);
         let nprov =
             sample_multihoming(&mut rng, config.large_transit_multihoming, config.num_tier1);
-        let provs = pick_providers(
-            &mut rng,
-            &tier1_pool,
-            |c| customer_count.get(&c).copied().unwrap_or(0),
-            region,
-            config.cross_region_prob,
-            nprov,
-        );
-        for p in provs {
-            builder.add_provider_customer(p, a).expect("new link");
-            *customer_count.entry(p).or_insert(0) += 1;
-        }
+        tier1_pool.attach(&mut rng, &mut builder, (a, region), cross, nprov);
         large_transits.push(a);
-        large_pool.push((a, region));
+        large_members.push((a, region));
     }
     // Peering among same-region large transits.
-    for i in 0..large_pool.len() {
-        for j in (i + 1)..large_pool.len() {
-            let (a, ra) = large_pool[i];
-            let (b, rb) = large_pool[j];
+    for i in 0..large_members.len() {
+        for j in (i + 1)..large_members.len() {
+            let (a, ra) = large_members[i];
+            let (b, rb) = large_members[j];
             if ra == rb && rng.random::<f64>() < config.peering_prob_large {
                 builder.add_peering(a, b).expect("new peering");
             }
@@ -408,8 +489,9 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
     }
 
     // --- Small transit ---------------------------------------------------
+    let mut large_pool = Pool::fresh(large_members, config.num_regions);
     let mut small_transits = Vec::with_capacity(config.num_small_transit);
-    let mut small_pool: Vec<(Asn, u8)> = Vec::new();
+    let mut small_members: Vec<(Asn, u8)> = Vec::new();
     for _ in 0..config.num_small_transit {
         let a = fresh_asn(&mut next_asn);
         builder.add_as(a).expect("fresh ASN");
@@ -420,42 +502,18 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
             config.small_transit_multihoming,
             config.num_large_transit.max(1),
         );
-        let provs = pick_providers(
-            &mut rng,
-            &large_pool,
-            |c| customer_count.get(&c).copied().unwrap_or(0),
-            region,
-            config.cross_region_prob,
-            nprov,
-        );
-        if provs.is_empty() {
+        if large_pool.attach(&mut rng, &mut builder, (a, region), cross, nprov) == 0 {
             // No large transits configured: home directly under tier-1s.
-            let provs = pick_providers(
-                &mut rng,
-                &tier1_pool,
-                |c| customer_count.get(&c).copied().unwrap_or(0),
-                region,
-                config.cross_region_prob,
-                nprov,
-            );
-            for p in provs {
-                builder.add_provider_customer(p, a).expect("new link");
-                *customer_count.entry(p).or_insert(0) += 1;
-            }
-        } else {
-            for p in provs {
-                builder.add_provider_customer(p, a).expect("new link");
-                *customer_count.entry(p).or_insert(0) += 1;
-            }
+            tier1_pool.attach(&mut rng, &mut builder, (a, region), cross, nprov);
         }
         small_transits.push(a);
-        small_pool.push((a, region));
+        small_members.push((a, region));
     }
     // Sparse same-region peering among small transits.
-    for i in 0..small_pool.len() {
-        for j in (i + 1)..small_pool.len() {
-            let (a, ra) = small_pool[i];
-            let (b, rb) = small_pool[j];
+    for i in 0..small_members.len() {
+        for j in (i + 1)..small_members.len() {
+            let (a, ra) = small_members[i];
+            let (b, rb) = small_members[j];
             if ra == rb && rng.random::<f64>() < config.peering_prob_small {
                 builder.add_peering(a, b).expect("new peering");
             }
@@ -463,12 +521,17 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
     }
 
     // --- Stubs -------------------------------------------------------------
-    // Provider pool for stubs: all transit ASes (large + small).
-    let transit_pool: Vec<(Asn, u8)> = large_pool
-        .iter()
-        .chain(small_pool.iter())
-        .copied()
-        .collect();
+    // Provider pool for stubs: all transit ASes (large, then small), with
+    // the large transits' weights carried over from the small-transit phase.
+    let mut transit_members = large_pool.members;
+    let mut transit_weight = large_pool.weight;
+    transit_members.extend(small_members);
+    transit_weight.resize(transit_members.len(), 1);
+    let mut stub_pool = if transit_members.is_empty() {
+        tier1_pool
+    } else {
+        Pool::new(transit_members, transit_weight, config.num_regions)
+    };
     let mut stubs = Vec::with_capacity(config.num_stubs);
     // IXP membership per region for stub-stub peering.
     let mut ixp_members: Vec<Vec<Asn>> = vec![Vec::new(); config.num_regions];
@@ -478,23 +541,7 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
         let region = rng.random_range(0..config.num_regions) as u8;
         regions.push(region);
         let nprov = sample_multihoming(&mut rng, config.stub_multihoming, 4);
-        let pool: &[(Asn, u8)] = if transit_pool.is_empty() {
-            &tier1_pool
-        } else {
-            &transit_pool
-        };
-        let provs = pick_providers(
-            &mut rng,
-            pool,
-            |c| customer_count.get(&c).copied().unwrap_or(0),
-            region,
-            config.cross_region_prob,
-            nprov,
-        );
-        for p in provs {
-            builder.add_provider_customer(p, a).expect("new link");
-            *customer_count.entry(p).or_insert(0) += 1;
-        }
+        stub_pool.attach(&mut rng, &mut builder, (a, region), cross, nprov);
         if rng.random::<f64>() < config.stub_ixp_prob {
             // Peer with up to 2 prior IXP members of the same region.
             let members = &ixp_members[region as usize];
@@ -524,6 +571,190 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
 mod tests {
     use super::*;
     use crate::cone::{ConeInfo, Tier};
+    use proptest::prelude::*;
+
+    /// Reference oracle for [`Pool::pick`]: the linear scan the generator
+    /// used before the Fenwick sampler. Picks `count` distinct providers
+    /// from `pool` with probability proportional to `weight(candidate) + 1`,
+    /// respecting regional bias; returns fewer if the pool is too small.
+    fn pick_providers<R: Rng>(
+        rng: &mut R,
+        pool: &[(Asn, u8)], // (candidate, region)
+        weights: impl Fn(Asn) -> usize,
+        my_region: u8,
+        cross_region_prob: f64,
+        count: usize,
+    ) -> Vec<Asn> {
+        let mut chosen: Vec<Asn> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let cross = rng.random::<f64>() < cross_region_prob;
+            // Candidates: same-region unless we roll a cross-region pick; fall
+            // back to the whole pool when the filtered set is exhausted.
+            let candidates: Vec<Asn> = pool
+                .iter()
+                .filter(|(a, r)| {
+                    !chosen.contains(a)
+                        && if cross {
+                            *r != my_region
+                        } else {
+                            *r == my_region
+                        }
+                })
+                .map(|(a, _)| *a)
+                .collect();
+            let candidates = if candidates.is_empty() {
+                pool.iter()
+                    .filter(|(a, _)| !chosen.contains(a))
+                    .map(|(a, _)| *a)
+                    .collect::<Vec<_>>()
+            } else {
+                candidates
+            };
+            if candidates.is_empty() {
+                break;
+            }
+            let total: usize = candidates.iter().map(|&a| weights(a) + 1).sum();
+            let mut roll = rng.random_range(0..total);
+            let mut pick = candidates[0];
+            for &c in &candidates {
+                let w = weights(c) + 1;
+                if roll < w {
+                    pick = c;
+                    break;
+                }
+                roll -= w;
+            }
+            chosen.push(pick);
+        }
+        chosen
+    }
+
+    /// Run the sampler and the linear oracle from the same RNG state and
+    /// require the same picks and the same RNG state afterwards.
+    fn assert_matches_oracle(
+        seed: u64,
+        pool: &[(Asn, u8)],
+        customers: &[usize],
+        num_regions: usize,
+        my_region: u8,
+        cross: f64,
+        count: usize,
+    ) {
+        let weight = customers.iter().map(|c| c + 1).collect();
+        let mut sampler = Pool::new(pool.to_vec(), weight, num_regions);
+        let before = (sampler.all.clone(), sampler.by_region.clone());
+        let mut fast_rng = ChaCha8Rng::seed_from_u64(seed);
+        let fast: Vec<Asn> = sampler
+            .pick(&mut fast_rng, my_region, cross, count)
+            .into_iter()
+            .map(|pos| pool[pos].0)
+            .collect();
+        let mut slow_rng = ChaCha8Rng::seed_from_u64(seed);
+        let at = |a: Asn| pool.iter().position(|&(m, _)| m == a).unwrap();
+        let slow = pick_providers(
+            &mut slow_rng,
+            pool,
+            |a| customers[at(a)],
+            my_region,
+            cross,
+            count,
+        );
+        assert_eq!(fast, slow, "picks diverged (seed {seed})");
+        assert_eq!(
+            fast_rng.next_u64(),
+            slow_rng.next_u64(),
+            "random streams diverged (seed {seed})"
+        );
+        assert_eq!(
+            (sampler.all, sampler.by_region),
+            before,
+            "pick must restore the chosen weights"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pool_sampler_matches_linear_oracle(
+            seed in any::<u64>(),
+            entries in proptest::collection::vec((0u8..6, 0usize..40), 1..65),
+            num_regions in 1usize..7,
+            my_region in 0u8..6,
+            cross_pick in 0usize..3,
+            count in 1usize..6,
+        ) {
+            let pool: Vec<(Asn, u8)> = entries
+                .iter()
+                .enumerate()
+                .map(|(k, &(r, _))| (Asn(100 + k as u32), r % num_regions as u8))
+                .collect();
+            let customers: Vec<usize> = entries.iter().map(|&(_, c)| c).collect();
+            let cross = [0.0, 0.15, 1.0][cross_pick];
+            let my_region = my_region % num_regions as u8;
+            assert_matches_oracle(seed, &pool, &customers, num_regions, my_region, cross, count);
+        }
+    }
+
+    #[test]
+    fn pool_sampler_matches_oracle_on_empty_region_and_exhausted_pool() {
+        // Region 2 has no members: own-region picks fall back to the pool.
+        let pool: Vec<(Asn, u8)> = (0..5).map(|k| (Asn(100 + k), (k % 2) as u8)).collect();
+        let customers = [3, 0, 7, 1, 0];
+        for seed in 0..64 {
+            for cross in [0.0, 0.15, 1.0] {
+                assert_matches_oracle(seed, &pool, &customers, 3, 2, cross, 3);
+                // Asking for more picks than members exhausts the pool.
+                assert_matches_oracle(seed, &pool, &customers, 3, 0, cross, 5);
+                assert_matches_oracle(seed, &pool[..2], &customers[..2], 3, 1, cross, 5);
+            }
+        }
+    }
+
+    /// FNV-1a over the links, regions and the four tier lists.
+    fn digest(g: &GeneratedTopology) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for l in g.topology.links() {
+            eat(&l.a.0.to_le_bytes());
+            eat(&l.b.0.to_le_bytes());
+            eat(&[matches!(l.kind, crate::LinkKind::PeerPeer) as u8]);
+        }
+        eat(&g.regions);
+        for tier in [&g.tier1s, &g.large_transits, &g.small_transits, &g.stubs] {
+            eat(&(tier.len() as u64).to_le_bytes());
+            for a in tier.iter() {
+                eat(&a.0.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// Golden digests of every preset at the default seed, computed with
+    /// the linear-scan generator of commit 7ae7c8e. The Fenwick sampler
+    /// must reproduce those graphs bit for bit.
+    #[test]
+    fn presets_match_golden_digests() {
+        type C = TopologyConfig;
+        let s = C::default().seed;
+        let presets = [
+            ("small", C::small(s), 0x9d45_909d_a3b7_3cb3),
+            ("medium", C::medium(s), 0x594f_f969_0258_814e),
+            ("full", C::default(), 0x8f2d_0929_551f_6c05),
+            ("paper", C::paper(s), 0xe254_d908_75b2_9885),
+            ("large", C::large(s), 0x0f4c_fe9e_4600_d221),
+            ("internet", C::internet(s), 0xc7d0_9cd4_7d9a_e7b4),
+        ];
+        for (name, cfg, want) in presets {
+            let got = digest(&generate(&cfg));
+            assert_eq!(got, want, "{name}: {got:#018x} != golden {want:#018x}");
+        }
+    }
 
     #[test]
     fn generates_requested_counts() {

@@ -258,7 +258,7 @@ impl TopologyBuilder {
         if ia == ib {
             return Err(TopologyError::SelfLoop(link.a));
         }
-        if self.adjacency[ia.us()].iter().any(|(n, _)| *n == ib) {
+        if self.linked(ia, ib) {
             return Err(TopologyError::DuplicateLink(link.a, link.b));
         }
         let kind_a = link.kind_for(link.a).expect("a is endpoint");
@@ -287,9 +287,21 @@ impl TopologyBuilder {
     /// True if the pair is already linked.
     pub fn has_link(&self, x: Asn, y: Asn) -> bool {
         match (self.index.get(&x), self.index.get(&y)) {
-            (Some(&ix), Some(&iy)) => self.adjacency[ix.us()].iter().any(|(n, _)| *n == iy),
+            (Some(&ix), Some(&iy)) => self.linked(ix, iy),
             _ => false,
         }
+    }
+
+    /// Adjacency is symmetric, so scanning the shorter of the two lists
+    /// decides the pair; the other end may be a provider with thousands
+    /// of customers.
+    fn linked(&self, x: AsIndex, y: AsIndex) -> bool {
+        let (short, other) = if self.adjacency[x.us()].len() <= self.adjacency[y.us()].len() {
+            (x, y)
+        } else {
+            (y, x)
+        };
+        self.adjacency[short.us()].iter().any(|(n, _)| *n == other)
     }
 
     /// Finalize into an immutable [`Topology`]. Neighbor lists are sorted
@@ -396,6 +408,33 @@ mod tests {
             b.add_peering(Asn(1), Asn(2)),
             Err(TopologyError::DuplicateLink(_, _))
         ));
+    }
+
+    #[test]
+    fn rejects_duplicate_link_in_both_orientations_at_a_hub() {
+        // AS 1 is a hub with 300 customers; the duplicate check must see
+        // every existing pair whichever side it scans.
+        let mut b = TopologyBuilder::new();
+        b.add_as(Asn(1)).unwrap();
+        for c in 2..302 {
+            b.add_as(Asn(c)).unwrap();
+            b.add_provider_customer(Asn(1), Asn(c)).unwrap();
+        }
+        for c in [2, 150, 301] {
+            for dup in [
+                b.add_provider_customer(Asn(1), Asn(c)),
+                b.add_provider_customer(Asn(c), Asn(1)),
+                b.add_peering(Asn(1), Asn(c)),
+                b.add_peering(Asn(c), Asn(1)),
+            ] {
+                assert!(matches!(dup, Err(TopologyError::DuplicateLink(_, _))));
+            }
+            assert!(b.has_link(Asn(1), Asn(c)) && b.has_link(Asn(c), Asn(1)));
+        }
+        // A peering between two customers is new, then a duplicate.
+        b.add_peering(Asn(2), Asn(3)).unwrap();
+        assert!(b.add_peering(Asn(3), Asn(2)).is_err());
+        assert_eq!(b.build().num_links(), 301);
     }
 
     #[test]

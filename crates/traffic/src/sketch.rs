@@ -34,7 +34,6 @@
 //! error bound, but it can never silently clear a guilty cluster.
 
 use crate::flow::Flow;
-use std::sync::Arc;
 use trackdown_bgp::{Catchments, LinkId};
 
 /// Default number of flows per streaming batch (see [`ingest_stream`]).
@@ -193,9 +192,8 @@ impl VolumeAccumulator for [Vec<u64>] {
 pub struct CountMinSketch {
     width: usize,
     depth: usize,
-    /// Per-row hash seeds. Never mutated, so clones share one allocation:
-    /// an accumulator's per-configuration sketches hold a single copy.
-    seeds: Arc<[u64]>,
+    /// Per-row hash seeds.
+    seeds: Vec<u64>,
     buckets: Vec<u64>,
     occupied: usize,
     total: u64,
@@ -208,6 +206,53 @@ fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Conservative update of one sketch's `depth × width` buckets at a key's
+/// precomputed row indexes. Returns how many buckets left zero.
+#[inline]
+fn conservative_add(buckets: &mut [u64], width: usize, indexes: &[u32], bytes: u64) -> usize {
+    let target = min_at(buckets, width, indexes).saturating_add(bytes);
+    let mut newly_occupied = 0;
+    for (r, &i) in indexes.iter().enumerate() {
+        let b = &mut buckets[r * width + i as usize];
+        if *b == 0 && target > 0 {
+            newly_occupied += 1;
+        }
+        *b = (*b).max(target);
+    }
+    newly_occupied
+}
+
+/// Point estimate at a key's row indexes: the minimum of its buckets.
+#[inline]
+fn min_at(buckets: &[u64], width: usize, indexes: &[u32]) -> u64 {
+    let mut est = u64::MAX;
+    for (r, &i) in indexes.iter().enumerate() {
+        est = est.min(buckets[r * width + i as usize]);
+    }
+    est
+}
+
+/// The deterministic collision bound over the key universe `0..est.len()`
+/// (see [`CountMinSketch::collision_bound`]); `index(r, k)` is key `k`'s
+/// bucket in row `r`.
+fn collision_bound_of(est: &[u64], depth: usize, index: impl Fn(usize, usize) -> usize) -> u64 {
+    let keys = est.len();
+    let mut worst = 0u64;
+    for k in 0..keys {
+        let per_key = (0..depth)
+            .map(|r| {
+                let target = index(r, k);
+                (0..keys)
+                    .filter(|&j| j != k && index(r, j) == target)
+                    .fold(0u64, |acc, j| acc.saturating_add(est[j]))
+            })
+            .min()
+            .expect("depth > 0");
+        worst = worst.max(per_key);
+    }
+    worst
 }
 
 impl CountMinSketch {
@@ -273,18 +318,7 @@ impl CountMinSketch {
     #[inline]
     pub fn record_at(&mut self, indexes: &[u32], bytes: u64) {
         debug_assert_eq!(indexes.len(), self.depth);
-        let mut est = u64::MAX;
-        for (r, &i) in indexes.iter().enumerate() {
-            est = est.min(self.buckets[r * self.width + i as usize]);
-        }
-        let target = est.saturating_add(bytes);
-        for (r, &i) in indexes.iter().enumerate() {
-            let b = &mut self.buckets[r * self.width + i as usize];
-            if *b == 0 && target > 0 {
-                self.occupied += 1;
-            }
-            *b = (*b).max(target);
-        }
+        self.occupied += conservative_add(&mut self.buckets, self.width, indexes, bytes);
         self.total = self.total.saturating_add(bytes);
     }
 
@@ -322,20 +356,7 @@ impl CountMinSketch {
     /// a hard guarantee, unlike the probabilistic `εN`.
     pub fn collision_bound(&self, keys: usize) -> u64 {
         let est: Vec<u64> = (0..keys).map(|k| self.estimate(k)).collect();
-        let mut worst = 0u64;
-        for k in 0..keys {
-            let per_key = (0..self.depth)
-                .map(|r| {
-                    let target = self.index(r, k);
-                    (0..keys)
-                        .filter(|&j| j != k && self.index(r, j) == target)
-                        .fold(0u64, |acc, j| acc.saturating_add(est[j]))
-                })
-                .min()
-                .expect("depth > 0");
-            worst = worst.max(per_key);
-        }
-        worst
+        collision_bound_of(&est, self.depth, |r, k| self.index(r, k))
     }
 
     /// Fraction of nonzero buckets, in permille. Maintained incrementally
@@ -354,18 +375,30 @@ impl CountMinSketch {
     }
 }
 
-/// A streaming attribution store: one [`CountMinSketch`] per configuration,
+/// A streaming attribution store: one count-min sketch per configuration,
 /// keyed by link id. Memory is `configs × width × depth` counters
 /// regardless of how many links exist — the line-rate trade.
+///
+/// The sketches live in one bucket block, `width × depth` counters per
+/// configuration, instead of one allocation each: a localization builds a
+/// fresh accumulator per attack, and 511 separate 16 KB blocks fragment
+/// the heap enough to make the process's peak memory depend on where they
+/// land (DESIGN.md §4n).
 #[derive(Debug, Clone)]
 pub struct SketchAccumulator {
     num_links: usize,
+    width: usize,
     depth: usize,
     /// Bucket indexes per link, row-major (`num_links × depth`). Link ids
     /// are a tiny enumerable universe and the sketches share seeds, so the
     /// hot record path never hashes.
     link_indexes: Vec<u32>,
-    sketches: Vec<CountMinSketch>,
+    /// Configuration `c`'s sketch is `buckets[c * width * depth..][..width * depth]`.
+    buckets: Vec<u64>,
+    /// Nonzero buckets per configuration.
+    occupied: Vec<usize>,
+    /// Bytes recorded per configuration (each sketch's `N`).
+    totals: Vec<u64>,
 }
 
 impl SketchAccumulator {
@@ -386,24 +419,33 @@ impl SketchAccumulator {
         let link_indexes = (0..num_links).flat_map(|k| proto.indexes_of(k)).collect();
         SketchAccumulator {
             num_links,
+            width,
             depth,
             link_indexes,
-            sketches: vec![proto; num_configs],
+            buckets: vec![0; num_configs * width * depth],
+            occupied: vec![0; num_configs],
+            totals: vec![0; num_configs],
         }
     }
 
-    /// The per-configuration sketches (read-only).
-    pub fn sketches(&self) -> &[CountMinSketch] {
-        &self.sketches
+    /// Configuration `config`'s buckets.
+    fn sketch(&self, config: usize) -> &[u64] {
+        let n = self.width * self.depth;
+        &self.buckets[config * n..(config + 1) * n]
+    }
+
+    /// Link `link`'s bucket index in each row.
+    fn indexes(&self, link: usize) -> &[u32] {
+        &self.link_indexes[link * self.depth..(link + 1) * self.depth]
     }
 
     /// Zero every configuration's sketch, keeping seeds and the
     /// precomputed link index table — the steady-state reset between
     /// observation windows.
     pub fn clear(&mut self) {
-        for s in &mut self.sketches {
-            s.clear();
-        }
+        self.buckets.fill(0);
+        self.occupied.fill(0);
+        self.totals.fill(0);
     }
 
     /// The worst classical `εN` bound across configurations (probabilistic,
@@ -411,9 +453,10 @@ impl SketchAccumulator {
     /// reports the *deterministic* enumeration bound instead; this one
     /// exists so callers can report both.
     pub fn epsilon_n_bound(&self) -> u64 {
-        self.sketches
+        let epsilon = std::f64::consts::E / self.width as f64;
+        self.totals
             .iter()
-            .map(|s| (s.epsilon() * s.total() as f64).ceil() as u64)
+            .map(|&n| (epsilon * n as f64).ceil() as u64)
             .max()
             .unwrap_or(0)
     }
@@ -421,7 +464,7 @@ impl SketchAccumulator {
 
 impl VolumeAccumulator for SketchAccumulator {
     fn num_configs(&self) -> usize {
-        self.sketches.len()
+        self.totals.len()
     }
 
     fn num_links(&self) -> usize {
@@ -429,26 +472,36 @@ impl VolumeAccumulator for SketchAccumulator {
     }
 
     fn record(&mut self, config: usize, link: LinkId, bytes: u64) {
+        let n = self.width * self.depth;
         let start = link.us() * self.depth;
-        self.sketches[config].record_at(&self.link_indexes[start..start + self.depth], bytes);
+        let indexes = &self.link_indexes[start..start + self.depth];
+        let sketch = &mut self.buckets[config * n..(config + 1) * n];
+        self.occupied[config] += conservative_add(sketch, self.width, indexes, bytes);
+        self.totals[config] = self.totals[config].saturating_add(bytes);
     }
 
     fn volume(&self, config: usize, link: LinkId) -> u64 {
-        self.sketches[config].estimate(link.us())
+        min_at(self.sketch(config), self.width, self.indexes(link.us()))
     }
 
     fn error_bound(&self) -> u64 {
-        self.sketches
-            .iter()
-            .map(|s| s.collision_bound(self.num_links))
+        (0..self.totals.len())
+            .map(|c| {
+                let sketch = self.sketch(c);
+                let est: Vec<u64> = (0..self.num_links)
+                    .map(|k| min_at(sketch, self.width, self.indexes(k)))
+                    .collect();
+                collision_bound_of(&est, self.depth, |r, k| self.indexes(k)[r] as usize)
+            })
             .max()
             .unwrap_or(0)
     }
 
     fn saturation_permille(&self) -> Option<u64> {
-        self.sketches
+        let buckets = (self.width * self.depth) as u64;
+        self.occupied
             .iter()
-            .map(CountMinSketch::saturation_permille)
+            .map(|&o| o as u64 * 1000 / buckets)
             .max()
     }
 }
@@ -656,6 +709,40 @@ mod tests {
         }
         assert_eq!(dense.as_slice().error_bound(), 0);
         assert_eq!(batched.error_bound(), 0);
+    }
+
+    /// The accumulator's shared bucket block answers exactly as one
+    /// standalone [`CountMinSketch`] per configuration fed the same records.
+    #[test]
+    fn accumulator_matches_one_sketch_per_configuration() {
+        let (configs, links, width, depth, seed) = (4, 9, 8, 3, 77);
+        let mut acc = SketchAccumulator::new(configs, links, width, depth, seed);
+        let mut each = vec![CountMinSketch::new(width, depth, seed); configs];
+        for step in 0..200u64 {
+            let (c, l) = (
+                (step * 7 % configs as u64) as usize,
+                (step * 5 % links as u64) as usize,
+            );
+            let bytes = step % 13 * 100 + 1;
+            acc.record(c, LinkId(l as u8), bytes);
+            each[c].record(l, bytes);
+        }
+        for (c, s) in each.iter().enumerate() {
+            for l in 0..links {
+                assert_eq!(acc.volume(c, LinkId(l as u8)), s.estimate(l), "{c}/{l}");
+            }
+        }
+        let bound = each.iter().map(|s| s.collision_bound(links)).max();
+        assert_eq!(Some(acc.error_bound()), bound);
+        let saturation = each.iter().map(CountMinSketch::saturation_permille).max();
+        assert_eq!(acc.saturation_permille(), saturation);
+        let eps_n = each
+            .iter()
+            .map(|s| (s.epsilon() * s.total() as f64).ceil() as u64);
+        assert_eq!(Some(acc.epsilon_n_bound()), eps_n.max());
+        acc.clear();
+        assert_eq!(acc.volume(1, LinkId(2)), 0);
+        assert_eq!(acc.saturation_permille(), Some(0));
     }
 
     #[test]
