@@ -272,9 +272,32 @@ impl Clustering {
     /// unlogged refinement, so partitions (and campaigns built on them)
     /// are byte-for-byte unchanged.
     pub fn refine_logged(&mut self, catchments: &Catchments) -> RefineDelta {
-        SCRATCH.with(|s| self.refine_with(catchments, &mut s.borrow_mut()))
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            let delta = self.refine_with(catchments, scratch);
+            self.rebuild_csr_with(&mut scratch.cursor);
+            delta
+        })
     }
 
+    /// [`Clustering::refine_logged`] with each configuration in turn,
+    /// returning one delta per configuration. The CSR membership is
+    /// rebuilt once at the end instead of after every configuration,
+    /// since nothing reads it in between.
+    pub(crate) fn refine_all(&mut self, catchments: &[Catchments]) -> Vec<RefineDelta> {
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            let deltas = catchments
+                .iter()
+                .map(|c| self.refine_with(c, scratch))
+                .collect();
+            self.rebuild_csr_with(&mut scratch.cursor);
+            deltas
+        })
+    }
+
+    /// Refine the assignment with one configuration and log the delta.
+    /// Leaves the CSR membership stale; the callers rebuild it.
     fn refine_with(&mut self, catchments: &Catchments, scratch: &mut RefineScratch) -> RefineDelta {
         let _span = trackdown_obs::span("cluster.refine");
         trackdown_obs::counter!("cluster.refines").inc();
@@ -286,10 +309,7 @@ impl Clustering {
         // most `links + 1` children (one per catchment plus "unobserved"),
         // so the lookup below is a short probe of `link_of`, no hashing.
         let RefineScratch {
-            head,
-            next,
-            dense,
-            cursor,
+            head, next, dense, ..
         } = scratch;
         head.clear();
         head.resize(old_num, NO_CHILD);
@@ -315,7 +335,6 @@ impl Clustering {
             self.assignment[k] = c;
         }
         self.num_clusters = parent_of.len() as u32;
-        self.rebuild_csr_with(cursor);
         // Split log: parents with more than one child, children ascending
         // (each chain runs newest first).
         let mut splits: Vec<ClusterSplit> = Vec::new();

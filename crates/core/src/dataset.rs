@@ -12,7 +12,9 @@
 //! The catchment matrix (one entry per AS per configuration) is almost
 //! all of the document, so [`Dataset::to_json`] and [`Dataset::from_json`]
 //! stream it between the bitset rows and the text instead of building a
-//! `serde::Value` per entry. The text is exactly what the serde derive on
+//! `serde::Value` per entry: the reader takes each plain integer or
+//! `null` straight from the bytes and hands any other token to the
+//! derive's own conversion. The text is exactly what the serde derive on
 //! [`Dataset`] prints and accepts; the derive is kept as the reference the
 //! codec is tested against.
 
@@ -20,7 +22,7 @@ use crate::cluster::Clustering;
 use crate::config::AnnouncementConfig;
 use crate::localize::Campaign;
 use serde::{DeError, Deserialize, Serialize};
-use serde_json::{Reader, Writer};
+use serde_json::{Reader, Scalar, Writer};
 use std::fmt;
 use trackdown_bgp::{Catchments, LinkId, OriginAs};
 use trackdown_topology::{AsIndex, Asn, Topology};
@@ -175,9 +177,10 @@ impl Dataset {
     /// `serde_json::from_str::<Dataset>` accepts (unknown keys ignored,
     /// the first of duplicate keys wins) and returns the same value, but
     /// streams each catchment's `assignment` array into a reused dense
-    /// buffer instead of building a `serde::Value` per entry. Every other
-    /// field is converted as soon as its value is read, so no field's
-    /// `Value` tree outlives its own member.
+    /// buffer, and `asns` and `tracked` into their vectors, without a
+    /// `serde::Value` per entry. Every other field is converted as soon as
+    /// its value is read, so no field's `Value` tree outlives its own
+    /// member.
     pub fn from_json(text: &str) -> Result<Dataset, DatasetError> {
         let mut r = Reader::new(text);
         let mut version = None;
@@ -191,10 +194,10 @@ impl Dataset {
             match key.as_str() {
                 "version" if version.is_none() => version = Some(decode(&mut r)?),
                 "origin" if origin.is_none() => origin = Some(decode(&mut r)?),
-                "asns" if asns.is_none() => asns = Some(decode(&mut r)?),
+                "asns" if asns.is_none() => asns = Some(read_array(&mut r, Asn)?),
                 "configs" if configs.is_none() => configs = Some(decode(&mut r)?),
                 "catchments" if catchments.is_none() => catchments = Some(read_catchments(&mut r)?),
-                "tracked" if tracked.is_none() => tracked = Some(decode(&mut r)?),
+                "tracked" if tracked.is_none() => tracked = Some(read_array(&mut r, AsIndex)?),
                 _ => {
                     r.value()?;
                 }
@@ -297,7 +300,7 @@ impl Dataset {
 /// Stream the `catchments` array: each element is a `Catchments` wire
 /// object, `{"assignment": [link or null, ...]}`, decoded with the
 /// derive's rules (unknown keys ignored, first `assignment` wins, each
-/// entry converted by `Option<LinkId>`'s own `Deserialize`).
+/// entry converted as `Option<LinkId>`'s own `Deserialize` converts it).
 fn read_catchments(r: &mut Reader<'_>) -> Result<Vec<Catchments>, DatasetError> {
     let mut out = Vec::new();
     let mut dense: Vec<Option<LinkId>> = Vec::new();
@@ -310,8 +313,10 @@ fn read_catchments(r: &mut Reader<'_>) -> Result<Vec<Catchments>, DatasetError> 
                 seen = true;
                 dense.clear();
                 r.begin_array()?;
-                while r.next_element()? {
-                    dense.push(Option::<LinkId>::from_value(&r.value()?)?);
+                while let Some(entry) = r.next_scalar()? {
+                    dense.push(convert(entry, |n| {
+                        u8::try_from(n).ok().map(LinkId).map(Some)
+                    })?);
                 }
             } else {
                 r.value()?;
@@ -323,6 +328,33 @@ fn read_catchments(r: &mut Reader<'_>) -> Result<Vec<Catchments>, DatasetError> 
         out.push(Catchments::from_dense(&dense));
     }
     Ok(out)
+}
+
+/// Read an array of `u32` newtypes (`asns`, `tracked`) element by
+/// element. `Vec<T>`'s derive rejects anything but an array, and so does
+/// this.
+fn read_array<T: Deserialize>(
+    r: &mut Reader<'_>,
+    wrap: fn(u32) -> T,
+) -> Result<Vec<T>, DatasetError> {
+    r.begin_array()?;
+    let mut out = Vec::new();
+    while let Some(entry) = r.next_scalar()? {
+        out.push(convert(entry, |n| u32::try_from(n).ok().map(wrap))?);
+    }
+    Ok(out)
+}
+
+/// Convert one array element to `T`: a plain integer `fast` accepts
+/// directly, anything else through `T`'s derive, which gives the same
+/// value or error the derive gives for the whole array.
+fn convert<T: Deserialize>(entry: Scalar, fast: impl Fn(u64) -> Option<T>) -> Result<T, DeError> {
+    if let Scalar::Uint(n) = entry {
+        if let Some(t) = fast(n) {
+            return Ok(t);
+        }
+    }
+    T::from_value(&entry.into_value())
 }
 
 /// Digits in the decimal form of `n`.

@@ -105,9 +105,10 @@ pub struct CampaignStats {
     #[serde(default)]
     pub warm_reuse_disabled_violators: usize,
     /// Steal attempts by the sharded executor that found the queue empty
-    /// (0 for the other executors). A high count relative to
-    /// `campaign.shard_steals` means workers spin on an empty queue —
-    /// the contention signature behind `large_shard_speedup < 1`.
+    /// (0 for the other executors): one per epoch that ends a producer's
+    /// help-first drain, plus one each time an idle worker parks or
+    /// exits. Idle workers block until a producer pushes, so the count
+    /// stays near the number of epochs.
     pub shard_steal_fails: usize,
     /// Per-worker busy time (µs inside produce/extract/steal/merge work)
     /// for the sharded executor; empty for the other executors and in
@@ -203,17 +204,16 @@ impl AttributionIndex {
 
     /// Refine `tracked` over `catchments` in schedule order, returning the
     /// final partition together with its attribution index — the
-    /// standalone analog of what campaign assembly does.
+    /// standalone analog of what campaign assembly does. Equal to a
+    /// [`Clustering::refine_logged`] per configuration, but the cluster
+    /// membership lists are built once, for the final partition only.
     pub fn build(
         tracked: Vec<AsIndex>,
         catchments: &[Catchments],
     ) -> (Clustering, AttributionIndex) {
         let mut clustering = Clustering::single(tracked);
         let initial = clustering.num_clusters() as u32;
-        let deltas = catchments
-            .iter()
-            .map(|cat| clustering.refine_logged(cat))
-            .collect();
+        let deltas = clustering.refine_all(catchments);
         (clustering, AttributionIndex::new(initial, deltas))
     }
 
@@ -318,6 +318,14 @@ pub fn run_campaign(
         max_events_factor,
         CampaignMode::Warm,
     )
+}
+
+/// Join a campaign worker. The calling thread only blocks here, so the
+/// join is traced as a `campaign.wait` span, which the profiler counts
+/// as waiting rather than as work of the enclosing `campaign.run`.
+fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    let _wait = trackdown_obs::span("campaign.wait");
+    h.join().expect("worker panicked")
 }
 
 /// Extract the requested ground-truth catchments from a routing outcome.
@@ -830,7 +838,7 @@ pub fn run_campaign_parallel_recorded(
                 (events, work),
                 cold_restarts,
                 peak_arena,
-            ) = h.join().expect("worker panicked");
+            ) = join_worker(h);
             for (off, r) in local.into_iter().enumerate() {
                 results[base + off] = r;
             }
@@ -1045,7 +1053,7 @@ pub fn run_campaign_sharded_recorded(
 ) -> Campaign {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Condvar, Mutex};
 
     assert!(!configs.is_empty(), "empty schedule");
     assert!(
@@ -1078,8 +1086,10 @@ pub fn run_campaign_sharded_recorded(
     // ran ahead of the stealers.
     let queue: Mutex<VecDeque<ExtractTask>> =
         Mutex::new(VecDeque::with_capacity(configs.len() * num_shards));
-    // Producers still propagating; stealers spin until this hits zero.
+    // Producers still propagating; idle workers wait on `ready` until a
+    // producer pushes tasks or this hits zero.
     let producers = AtomicUsize::new(num_workers);
+    let ready = Condvar::new();
     let parts: Mutex<Vec<Option<trackdown_bgp::ShardCatchments>>> =
         Mutex::new(vec![None; configs.len() * num_shards]);
 
@@ -1122,7 +1132,7 @@ pub fn run_campaign_sharded_recorded(
         let mut handles = Vec::new();
         for (t, chunk) in configs.chunks(chunk_size).enumerate() {
             let base = t * chunk_size;
-            let (queue, producers, steal_one) = (&queue, &producers, &steal_one);
+            let (queue, producers, ready, steal_one) = (&queue, &producers, &ready, &steal_one);
             handles.push(scope.spawn(move || {
                 let order: Vec<usize> = match mode {
                     CampaignMode::Warm | CampaignMode::Delta => warm_start_order(chunk),
@@ -1267,16 +1277,22 @@ pub fn run_campaign_sharded_recorded(
                         }
                         trackdown_obs::counter_sample("campaign.queue_depth", q.len() as u64);
                     }
+                    ready.notify_all();
                     drop(produce);
                     // Help-first draining: keep the queue (and the routing
                     // outcomes it retains) bounded by in-flight epochs.
                     while steal_one(t) {}
                     steal_fails += 1; // the drain exits on an empty pop
                 }
-                producers.fetch_sub(1, Ordering::AcqRel);
+                if producers.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // Taking the lock orders this wake-up after any
+                    // waiter's check of the count.
+                    let _q = queue.lock().expect("queue poisoned");
+                    ready.notify_all();
+                }
                 // Chunk done: steal until every producer has finished and
-                // the queue is drained. Idle stretches (empty-queue spins
-                // between successful steals) are timed worker-locally and
+                // the queue is drained, parking on `ready` while it is
+                // empty. Idle stretches are timed worker-locally and
                 // recorded as `worker.idle` trace spans.
                 let mut idle_since: Option<std::time::Instant> = None;
                 let close_idle = |idle_since: &mut Option<std::time::Instant>,
@@ -1291,30 +1307,27 @@ pub fn run_campaign_sharded_recorded(
                     }
                 };
                 loop {
-                    let mut worked = steal_one(t);
-                    if !worked {
-                        steal_fails += 1;
-                        if producers.load(Ordering::Acquire) == 0 {
-                            // Producers all done: one confirming pop
-                            // guards against tasks enqueued between our
-                            // failed pop and the producer count reaching
-                            // zero.
-                            if steal_one(t) {
-                                worked = true;
-                            } else {
-                                steal_fails += 1;
-                                break;
-                            }
-                        }
-                    }
-                    if worked {
+                    if steal_one(t) {
                         close_idle(&mut idle_since, &mut idle_us);
                         continue;
+                    }
+                    steal_fails += 1;
+                    let q = queue.lock().expect("queue poisoned");
+                    // Producers push before they count themselves out, so
+                    // an empty queue with none left stays empty.
+                    if q.is_empty() && producers.load(Ordering::Acquire) == 0 {
+                        break;
                     }
                     if idle_since.is_none() {
                         idle_since = Some(std::time::Instant::now());
                     }
-                    std::thread::yield_now();
+                    drop(
+                        ready
+                            .wait_while(q, |q| {
+                                q.is_empty() && producers.load(Ordering::Acquire) > 0
+                            })
+                            .expect("queue poisoned"),
+                    );
                 }
                 close_idle(&mut idle_since, &mut idle_us);
                 trackdown_obs::counter!("campaign.shard_steal_fails").add(steal_fails);
@@ -1334,7 +1347,7 @@ pub fn run_campaign_sharded_recorded(
         }
         for h in handles {
             let (base, converged, pairs, propagations, counts, cold_restarts, peak, store, util) =
-                h.join().expect("worker panicked");
+                join_worker(h);
             for (off, c) in converged.into_iter().enumerate() {
                 converged_by_k[base + off] = c;
             }

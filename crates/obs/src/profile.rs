@@ -9,6 +9,13 @@
 //! counting; idle stretches are recorded as `*.idle` spans, so they are
 //! accounted (not missing) time.
 //!
+//! A `*.wait` span marks a thread blocked on other threads (a campaign's
+//! worker join). Its time is *waiting*, not work: it is left out of the
+//! exclusive total and can never be the dominant phase, and coverage is
+//! the share of the wall window in which some thread was inside a span
+//! other than a wait, so parallel threads are not summed over one
+//! stretch of wall time.
+//!
 //! [`diff_bench_snapshots`] implements `trackdown perf-report`: it
 //! diffs two `BENCH_pipeline.json` value trees metric-by-metric with a
 //! tolerance threshold and renders the markdown table CI posts.
@@ -30,6 +37,14 @@ pub struct PhaseStat {
     /// Total wall time inside these spans, excluding time attributed to
     /// direct child spans (µs).
     pub exclusive_us: u64,
+    /// Whether these are `*.wait` spans: time blocked on other threads,
+    /// not work.
+    pub waiting: bool,
+}
+
+/// Whether a span name marks time blocked on other threads.
+fn is_wait(name: &str) -> bool {
+    name.ends_with(".wait")
 }
 
 /// Per-thread activity summary.
@@ -43,7 +58,7 @@ pub struct WorkerStat {
     pub window_us: u64,
     /// Time inside root spans (µs) — the accounted share of the window.
     pub accounted_us: u64,
-    /// Time inside `*.idle` spans (µs).
+    /// Time inside `*.idle` and `*.wait` spans (µs).
     pub idle_us: u64,
 }
 
@@ -60,12 +75,16 @@ impl WorkerStat {
 /// Deterministic profile summary distilled from one trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileSummary {
-    /// Per-phase stats, sorted by exclusive time (desc), then name.
+    /// Per-phase stats: work phases by exclusive time (desc), then name;
+    /// then the waiting phases, in the same order.
     pub phases: Vec<PhaseStat>,
     /// Per-thread stats, sorted by thread index.
     pub workers: Vec<WorkerStat>,
     /// Wall-clock length of the trace window (µs).
     pub trace_duration_us: u64,
+    /// Wall time (µs) in which at least one thread was inside a span that
+    /// is not a wait.
+    pub covered_us: u64,
 }
 
 impl ProfileSummary {
@@ -95,15 +114,19 @@ impl ProfileSummary {
                 count: 0,
                 inclusive_us: 0,
                 exclusive_us: 0,
+                waiting: is_wait(e.name),
             });
             stat.count += 1;
             stat.inclusive_us += inclusive;
             stat.exclusive_us += inclusive.saturating_sub(child_us[i]);
         }
         let mut phases: Vec<PhaseStat> = phases.into_values().collect();
-        phases.sort_by(|a, b| b.exclusive_us.cmp(&a.exclusive_us).then(a.name.cmp(b.name)));
+        phases.sort_by(|a, b| {
+            (a.waiting, b.exclusive_us, a.name).cmp(&(b.waiting, a.exclusive_us, b.name))
+        });
 
         let mut workers = Vec::with_capacity(trace.threads.len());
+        let mut covered: Vec<(u64, u64)> = Vec::new();
         for t in &trace.threads {
             let mine = spans.iter().filter(|e| e.thread == t.index);
             let mut first = u64::MAX;
@@ -111,6 +134,8 @@ impl ProfileSummary {
             let mut accounted = 0u64;
             let mut idle = 0u64;
             let mut any = false;
+            let mut roots = Vec::new();
+            let mut waits = Vec::new();
             for e in mine {
                 any = true;
                 first = first.min(e.start_us);
@@ -119,11 +144,17 @@ impl ProfileSummary {
                 let is_root = e.parent == 0 || !index_of.contains_key(&e.parent);
                 if is_root {
                     accounted += inclusive;
+                    roots.push((e.start_us, e.end_us));
                 }
-                if e.name.ends_with(".idle") {
+                let wait = is_wait(e.name);
+                if wait {
+                    waits.push((e.start_us, e.end_us));
+                }
+                if wait || e.name.ends_with(".idle") {
                     idle += inclusive;
                 }
             }
+            covered.extend(subtract(&merge(roots), &merge(waits)));
             workers.push(WorkerStat {
                 thread: t.index,
                 label: t.label.clone(),
@@ -136,37 +167,36 @@ impl ProfileSummary {
             phases,
             workers,
             trace_duration_us: trace.duration_us,
+            covered_us: merge(covered).iter().map(|&(a, b)| b - a).sum(),
         }
     }
 
-    /// Total exclusive time across all phases (µs). Because exclusive
-    /// time partitions each thread's root spans, this approximates the
-    /// sum of per-thread accounted time.
+    /// Total exclusive time of the work (non-wait) phases (µs). Because
+    /// exclusive time partitions each thread's root spans, this
+    /// approximates the sum of per-thread accounted time less waiting.
     pub fn total_exclusive_us(&self) -> u64 {
-        self.phases.iter().map(|p| p.exclusive_us).sum()
+        self.phases
+            .iter()
+            .filter(|p| !p.waiting)
+            .map(|p| p.exclusive_us)
+            .sum()
     }
 
-    /// Sum of per-thread active windows (µs) — the wall time the profile
-    /// is expected to account for.
-    pub fn total_window_us(&self) -> u64 {
-        self.workers.iter().map(|w| w.window_us).sum()
-    }
-
-    /// Percentage of the per-thread active windows covered by per-phase
-    /// exclusive time. The acceptance bar for `trackdown profile` is
-    /// ≥ 90.
+    /// Percentage of the trace's wall window in which some thread was
+    /// inside a span other than a wait. The acceptance bar for
+    /// `trackdown profile` is ≥ 90.
     pub fn coverage_pct(&self) -> f64 {
-        let window = self.total_window_us();
-        if window == 0 {
+        if self.trace_duration_us == 0 {
             return 0.0;
         }
-        100.0 * self.total_exclusive_us() as f64 / window as f64
+        (100.0 * self.covered_us as f64 / self.trace_duration_us as f64).min(100.0)
     }
 
-    /// The phase with the largest exclusive time, if any — the "dominant
-    /// cost" a profiling run is after.
+    /// The work phase with the largest exclusive time, if any — the
+    /// "dominant cost" a profiling run is after. Waiting phases never
+    /// qualify.
     pub fn dominant_phase(&self) -> Option<&PhaseStat> {
-        self.phases.first()
+        self.phases.first().filter(|p| !p.waiting)
     }
 
     /// Render the deterministic summary table.
@@ -175,14 +205,19 @@ impl ProfileSummary {
         let total_excl = self.total_exclusive_us().max(1);
         out.push_str("phase                        count    incl_ms    excl_ms  excl%\n");
         for p in &self.phases {
+            let share = if p.waiting {
+                "wait".to_string()
+            } else {
+                format!("{:.1}", 100.0 * p.exclusive_us as f64 / total_excl as f64)
+            };
             let _ = writeln!(
                 out,
-                "{:<28} {:>5} {:>10.3} {:>10.3} {:>6.1}",
+                "{:<28} {:>5} {:>10.3} {:>10.3} {:>6}",
                 p.name,
                 p.count,
                 p.inclusive_us as f64 / 1000.0,
                 p.exclusive_us as f64 / 1000.0,
-                100.0 * p.exclusive_us as f64 / total_excl as f64,
+                share,
             );
         }
         out.push('\n');
@@ -204,9 +239,9 @@ impl ProfileSummary {
         }
         let _ = writeln!(
             out,
-            "\nexclusive-time coverage: {:.1}% of {:.3} ms active window",
+            "\nexclusive-time coverage: {:.1}% of {:.3} ms wall window",
             self.coverage_pct(),
-            self.total_window_us() as f64 / 1000.0,
+            self.trace_duration_us as f64 / 1000.0,
         );
         if let Some(p) = self.dominant_phase() {
             let _ = writeln!(
@@ -219,6 +254,42 @@ impl ProfileSummary {
         }
         out
     }
+}
+
+/// Sorted, disjoint cover of `spans` (half-open `[start, end)` µs).
+fn merge(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    spans.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+    for (a, b) in spans {
+        match out.last_mut() {
+            Some(last) if a <= last.1 => last.1 = last.1.max(b),
+            _ => out.push((a, b)),
+        }
+    }
+    out
+}
+
+/// The parts of `keep` outside `cut`; both sorted and disjoint.
+fn subtract(keep: &[(u64, u64)], cut: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    let mut j = 0;
+    for &(mut a, b) in keep {
+        while j < cut.len() && cut[j].1 <= a {
+            j += 1;
+        }
+        let mut k = j;
+        while k < cut.len() && cut[k].0 < b {
+            if cut[k].0 > a {
+                out.push((a, cut[k].0));
+            }
+            a = a.max(cut[k].1);
+            k += 1;
+        }
+        if a < b {
+            out.push((a, b));
+        }
+    }
+    out
 }
 
 // ---- perf-report -----------------------------------------------------
@@ -555,5 +626,67 @@ mod tests {
         let rendered = summary.render();
         assert!(rendered.contains("profile.test.outer"));
         assert!(rendered.contains("dominant phase"));
+    }
+
+    #[test]
+    fn waiting_is_not_work() {
+        use std::time::Duration;
+        let _guard = crate::test_lock();
+        crate::start_trace(crate::TraceConfig::default());
+        {
+            let _run = crate::span("profile.test.run");
+            // The main thread blocks on a worker that first sleeps outside
+            // any span, then works: the join's wait spans both stretches.
+            let _wait = crate::span("profile.test.wait");
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    let _work = crate::span("profile.test.work");
+                    std::thread::sleep(Duration::from_millis(20));
+                });
+            });
+        }
+        let trace = crate::end_trace().unwrap();
+        let summary = ProfileSummary::from_trace(&trace);
+        let phase = |name: &str| summary.phases.iter().find(|p| p.name == name).unwrap();
+        let (run, wait, work) = (
+            phase("profile.test.run"),
+            phase("profile.test.wait"),
+            phase("profile.test.work"),
+        );
+        assert!(wait.waiting && !run.waiting && !work.waiting);
+        // The wait is the longest span's exclusive time, yet the work is
+        // the dominant phase and the wait comes last.
+        assert!(wait.exclusive_us > work.exclusive_us);
+        assert_eq!(summary.dominant_phase().map(|p| p.name), Some(work.name));
+        assert_eq!(summary.phases.last().map(|p| p.name), Some(wait.name));
+        assert_eq!(
+            summary.total_exclusive_us(),
+            run.exclusive_us + work.exclusive_us
+        );
+        // The worker's unspanned sleep is covered by nothing but a wait,
+        // so about half the wall window is uncovered.
+        assert!(summary.covered_us >= work.inclusive_us);
+        assert!(summary.coverage_pct() < 80.0, "{}", summary.coverage_pct());
+        // The main thread's wait is idle time in its utilization.
+        assert!(summary
+            .workers
+            .iter()
+            .any(|w| w.idle_us >= wait.inclusive_us));
+        assert!(summary.render().contains("wait"));
+    }
+
+    #[test]
+    fn interval_cover_and_cut() {
+        assert_eq!(
+            merge(vec![(5, 9), (0, 2), (1, 3), (9, 10)]),
+            [(0, 3), (5, 10)]
+        );
+        assert_eq!(
+            subtract(&[(0, 10), (20, 30)], &[(2, 4), (8, 22), (25, 26)]),
+            [(0, 2), (4, 8), (22, 25), (26, 30)]
+        );
+        assert_eq!(subtract(&[(0, 10)], &[(0, 10)]), []);
+        assert_eq!(subtract(&[(3, 5)], &[]), [(3, 5)]);
     }
 }

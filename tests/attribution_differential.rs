@@ -10,8 +10,15 @@
 //! entry, a parent chain walked wrong, a CSR offset off by one — not a
 //! modeling difference. This mirrors the role `warm_vs_cold.rs` plays for
 //! the executor and `path_arena_differential.rs` for the routing core.
+//!
+//! `AttributionIndex::build`, which builds the cluster membership once
+//! after refining every configuration, is held to the per-configuration
+//! `refine_logged` loop on the small, medium and full presets and on
+//! random catchment rows.
 
 use proptest::prelude::*;
+use trackdown_experiments::{Options, Scale, Scenario};
+use trackdown_suite::core::cluster::RefineDelta;
 use trackdown_suite::core::localize::{
     match_fraction_scores, match_fraction_scores_rescan, run_campaign_parallel_mode,
 };
@@ -216,5 +223,84 @@ fn attribution_index_structure_is_consistent() {
         for (k, cat) in campaign.catchments.iter().enumerate() {
             assert_eq!(row[k], cat.get(rep), "cluster {c} config {k}");
         }
+    }
+}
+
+/// `AttributionIndex::build` refines every configuration and builds the
+/// cluster membership once; it must equal the per-configuration
+/// `refine_logged` loop (membership rebuilt after every configuration)
+/// in deltas, split logs, partition and every cluster's member list.
+fn assert_build_matches_refine_loop(tracked: &[AsIndex], catchments: &[Catchments]) {
+    let (built, index) = AttributionIndex::build(tracked.to_vec(), catchments);
+    let mut looped = Clustering::single(tracked.to_vec());
+    let initial = looped.num_clusters() as u32;
+    let deltas: Vec<RefineDelta> = catchments.iter().map(|c| looped.refine_logged(c)).collect();
+    assert_eq!(index.num_configs(), deltas.len());
+    for (k, d) in deltas.iter().enumerate() {
+        assert_eq!(index.delta(k), d, "delta of configuration {k}");
+        assert_eq!(index.split_log(k), &d.splits[..], "split log {k}");
+    }
+    assert_eq!(index, AttributionIndex::new(initial, deltas));
+    assert_eq!(built, looped);
+    assert_eq!(built.num_clusters(), looped.num_clusters());
+    for c in 0..looped.num_clusters() as u32 {
+        assert_eq!(
+            built.cluster_members(c),
+            looped.cluster_members(c),
+            "cluster {c}"
+        );
+    }
+    assert_eq!(built.sizes(), looped.sizes());
+}
+
+#[test]
+fn attribution_index_build_matches_refine_loop_on_presets() {
+    for scale in [Scale::Small, Scale::Medium, Scale::Full] {
+        let s = Scenario::build(Options {
+            scale,
+            seed: 7,
+            ..Options::default()
+        });
+        let campaign = s.run();
+        assert_build_matches_refine_loop(&campaign.tracked, &campaign.catchments);
+        // And against the campaign's own refinement, which keeps the
+        // membership current after every configuration for its records.
+        let (built, index) =
+            AttributionIndex::build(campaign.tracked.clone(), &campaign.catchments);
+        assert_eq!(built, campaign.clustering);
+        assert_eq!(index, campaign.attribution);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn attribution_index_build_matches_refine_loop_on_random_rows(
+        rows in proptest::collection::vec(
+            proptest::collection::vec(0u8..6, 0..160),
+            0..12,
+        ),
+        tracked_mask in proptest::collection::vec(any::<bool>(), 0..160),
+        width in 0usize..160,
+    ) {
+        // Entry 0 is "unassigned"; 1..6 are links 0..5.
+        let catchments: Vec<Catchments> = rows
+            .iter()
+            .map(|row| {
+                let dense: Vec<Option<LinkId>> = (0..width)
+                    .map(|i| match row.get(i).copied().unwrap_or(0) {
+                        0 => None,
+                        l => Some(LinkId(l - 1)),
+                    })
+                    .collect();
+                Catchments::from_dense(&dense)
+            })
+            .collect();
+        let tracked: Vec<AsIndex> = (0..width)
+            .filter(|&i| tracked_mask.get(i).copied().unwrap_or(false))
+            .map(|i| AsIndex(i as u32))
+            .collect();
+        assert_build_matches_refine_loop(&tracked, &catchments);
     }
 }

@@ -6,10 +6,11 @@
 //! as `serde_json::from_str::<Dataset>` followed by `validate`, on valid
 //! documents and on mutated ones: byte flips, truncation, compact
 //! re-encoding, reordered and duplicated keys, and odd catchment entries
-//! (`-0`, `01`, `1.0`, `256`, `null`, undeclared links). Arbitrary bytes
-//! must come back as `Err`, never as a panic. The validation checks
-//! `from_json` adds (strictly ascending `tracked`, declared links only)
-//! are pinned with regression documents built from the small preset.
+//! (`-0`, `01`, `1.0`, `256`, `null`, a 20-digit overflow, `nul`,
+//! undeclared links). Arbitrary bytes must come back as `Err`, never as a
+//! panic. The validation checks `from_json` adds (strictly ascending
+//! `tracked`, declared links only) are pinned with regression documents
+//! built from the small preset.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -172,8 +173,24 @@ fn join_members(members: &[String]) -> String {
     format!("{{\n{}\n}}", members.join(",\n"))
 }
 
-const ODD_ENTRIES: [&str; 14] = [
-    "-0", "01", "00", "1.0", "1e0", "256", "-1", "null", "\"1\"", "[1]", "{}", "3", "200", "-",
+const ODD_ENTRIES: [&str; 17] = [
+    "-0",
+    "01",
+    "00",
+    "1.0",
+    "1e0",
+    "256",
+    "-1",
+    "null",
+    "\"1\"",
+    "[1]",
+    "{}",
+    "3",
+    "200",
+    "-",
+    "18446744073709551616",
+    "nul",
+    "null1",
 ];
 
 const DUPLICATES: [&str; 10] = [
